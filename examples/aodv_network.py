@@ -21,13 +21,7 @@ from repro.netstack import layout
 from repro.netstack.apps import THRESH_COUNT, THRESH_EXCEED
 from repro.netstack.drivers import build_aodv_node, build_tx_node
 from repro.network import NetworkSimulator
-
-
-def stage_and_send(node, packet):
-    """Stage a packet body in a node's TX buffer and trigger its MAC."""
-    for index, word in enumerate(packet[:-1]):
-        node.processor.dmem.poke(layout.TX_BUF + index, word)
-    node.processor.raise_soft_event()
+from repro.scenarios import stage_and_send
 
 
 def main():

@@ -36,60 +36,11 @@ from repro.core import CoreConfig, SnapProcessor
 from repro.netstack import build_blink_app
 from repro.network.experiments import convergecast
 from repro.node import SensorNode
+from repro.scenarios import STRAIGHTLINE
+from repro.sim.checkpoint import meter_digest
 
 #: Speedup may regress by at most this fraction against the baseline.
 DEFAULT_TOLERANCE = 0.30
-
-STRAIGHTLINE = """
-boot:
-    movi r1, 0
-    movi r2, %(outer)d
-outer:
-    movi r3, 2000
-inner:
-    addi r1, 1
-    subi r3, 1
-    bnez r3, inner
-    subi r2, 1
-    bnez r2, outer
-    halt
-"""
-
-
-def meter_digest(processor):
-    """Every meter accumulator at full precision, for exact comparison."""
-    meter = processor.meter
-    return {
-        "instructions": meter.instructions,
-        "cycles": meter.cycles,
-        "total_energy": meter.total_energy,
-        "busy_time": meter.busy_time,
-        "idle_time": meter.idle_time,
-        "idle_energy": meter.idle_energy,
-        "wakeups": meter.wakeups,
-        "wakeup_energy": meter.wakeup_energy,
-        "event_tokens": meter.event_tokens,
-        "event_token_energy": meter.event_token_energy,
-        "dispatch_count": meter.dispatch_count,
-        "dispatch_latency_total": meter.dispatch_latency_total,
-        "dispatch_latency_max": meter.dispatch_latency_max,
-        "imem_energy": meter.imem_energy,
-        "dmem_energy": meter.dmem_energy,
-        "by_bucket": dict(meter.by_bucket),
-        "by_class": {cls.value: (stats.count, stats.energy)
-                     for cls, stats in sorted(meter.by_class.items(),
-                                              key=lambda kv: kv[0].value)},
-        "by_handler": {tag: (stats.instructions, stats.cycles, stats.energy,
-                             stats.invocations)
-                       for tag, stats in sorted(meter.by_handler.items())},
-        "imem_reads": processor.imem.reads,
-        "imem_writes": processor.imem.writes,
-        "dmem_reads": processor.dmem.reads,
-        "dmem_writes": processor.dmem.writes,
-        "now": processor.kernel.now,
-        "pc": processor.pc,
-        "mode": processor.mode.value,
-    }
 
 
 def _scenario_straightline(fast_path, quick=False):
@@ -141,7 +92,8 @@ def _scenario_convergecast(fast_path, quick=False):
     return {"instructions": instructions, "wall_s": wall, "digest": digest}
 
 
-SCENARIOS = {
+#: The timed workloads, each run on both engines.
+WORKLOADS = {
     "straightline": _scenario_straightline,
     "blink": _scenario_blink,
     "convergecast": _scenario_convergecast,
@@ -164,7 +116,7 @@ def run_all(repeats=2, quick=False):
     -- a throughput number for a diverging simulation is meaningless.
     """
     results = {}
-    for name, scenario in SCENARIOS.items():
+    for name, scenario in WORKLOADS.items():
         fast = _best_of(scenario, True, repeats, quick)
         reference = _best_of(scenario, False, repeats, quick)
         if fast["digest"] != reference["digest"]:

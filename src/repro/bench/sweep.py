@@ -37,7 +37,7 @@ cell can be re-run under ``snap-diff`` for localization.
 A scenario is a registered callable ``fn(params, seed) -> dict``; the
 returned dict must be JSON-serializable, deterministic for its inputs,
 and should carry a ``digest`` entry with full-precision simulation state
-(e.g. :func:`repro.bench.simspeed.meter_digest`).  Register new ones
+(e.g. :func:`repro.sim.checkpoint.meter_digest`).  Register new ones
 with :func:`sweep_scenario`; pooled workers resolve scenarios by name,
 so the defining module must be importable (or already imported, under
 the default ``fork`` start method) in the worker.
@@ -411,7 +411,7 @@ def voltage_point(params, seed):
     full-precision meter digest.
     """
     from repro.bench.ablations import SWEEP_LOOP
-    from repro.bench.simspeed import meter_digest
+    from repro.sim.checkpoint import meter_digest
 
     voltage = params["voltage"]
     processor = SnapProcessor(config=CoreConfig(voltage=voltage))
@@ -470,37 +470,20 @@ def chain_ber(params, seed):
     channel noise RNG is seeded per replica, so replicas sample
     independent noise while staying exactly reproducible.
     """
-    from repro.netstack import layout
-    from repro.netstack.drivers import build_aodv_node, build_tx_node
-    from repro.network.simulator import NetworkSimulator
+    from repro.scenarios import build_chain, send
     from repro.sim.checkpoint import network_digest
-    from repro.tools.snap_net_trace import seed_chain_routes, stage_and_send
 
     voltage = params.get("voltage", 0.6)
     bit_error_rate = params.get("bit_error_rate", 0.0)
     packets = int(params.get("packets", 3))
     relays = int(params.get("hops", 2))
 
-    config = CoreConfig(voltage=voltage)
-    net = NetworkSimulator(comm_range=1.5, bit_error_rate=bit_error_rate,
-                           seed=seed, corruption="flip")
-    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                 config=config)
-    sink_id = relays + 1
-    for node_id in range(2, sink_id + 1):
-        net.add_node(node_id, program=build_aodv_node(node_id),
-                     position=(float(node_id - 1), 0.0), config=config)
-    net.start()
-    net.run(until=0.01)
-    seed_chain_routes(net, first_relay=2, sink_id=sink_id)
-
-    source = net.nodes[1]
+    net, app_dest = build_chain(nodes=relays + 1,
+                                bit_error_rate=bit_error_rate,
+                                corruption="flip", seed=seed,
+                                voltage=voltage)
     for sequence in range(packets):
-        packet = layout.make_packet(
-            dst=2, src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
-            payload=[sink_id, 0x100 + 0x40 * sequence,
-                     0x120 + 0x55 * sequence])
-        stage_and_send(source, packet)
+        send(net, sequence, app_dest)
         net.run(until=net.kernel.now + 0.05)
 
     digest = network_digest(net)

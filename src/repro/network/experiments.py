@@ -69,39 +69,23 @@ class ConvergecastResult:
         return battery_j / worst
 
 
-def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
-                 voltage=0.6, seed=0, sample_every=None, fast_path=True,
-                 obs=None, telemetry=None, telemetry_interval=None):
-    """Run a convergecast chain: node N .. node 2 report to node 1.
+def build_convergecast(chain_length=4, period_s=0.1, voltage=0.6, seed=0,
+                       fast_path=True, obs=None):
+    """Build a convergecast chain and play its prologue; returns the net.
 
-    Nodes sit on a line with radio range one hop; every non-sink node
-    samples its temperature sensor each *period_s* and sends the reading
-    toward the sink, relaying neighbours' traffic on the way.
-
-    With *sample_every* set, an energy-timeline sampler snapshots every
-    node on that period and the result carries the drain time-series in
-    its ``drain`` field (the sampler only reads state, so the sampled
-    run is bit-identical to an unsampled one).  *fast_path* selects the
-    cores' execution engine (results are bit-identical either way; the
-    sim-speed benchmark runs both).  *obs* optionally attaches an
-    :class:`~repro.obs.Observability` context (or a
-    :class:`~repro.obs.Blackbox`, via its ``observe``/``watchdog``)
-    to the whole network before the run -- also bit-identical.
-
-    *telemetry* optionally streams the run: pass a
-    :class:`~repro.obs.transports.TelemetryTransport` (or an NDJSON
-    path) and a :class:`~repro.obs.telemetry.TelemetryExporter` is
-    armed over the whole network for the duration, flushing every
-    *telemetry_interval* simulated seconds.  Telemetry rides the same
-    read-only observability paths, so a streamed run stays bit-identical
-    too (``tests/test_telemetry.py`` pins this on the meter digests).
+    Node 1 is the AODV sink; nodes 2..*chain_length* sit on a line with
+    radio range one hop, each sampling its temperature sensor every
+    *period_s* and reporting toward the sink over static routes.  The
+    returned network has booted (1 ms) and every sampler timer is armed,
+    so it runs host-intervention-free from here.  *obs* is attached via
+    ``obs.observe(net)`` before the boot run.
     """
     config = CoreConfig(voltage=voltage, fast_path=fast_path)
     net = NetworkSimulator(comm_range=1.5)
     period_ticks = int(period_s * 1e6)
 
-    sink = net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
-                        config=config)
+    net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
+                 config=config)
     reporters = {}
     for index in range(1, chain_length):
         node_id = index + 1
@@ -133,6 +117,38 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
     for offset, node in enumerate(reporters.values()):
         stagger = int(period_ticks * (1 + offset) / (count + 1))
         node.processor.timer.schedlo(0, period_ticks + stagger)
+    return net
+
+
+def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
+                 voltage=0.6, seed=0, sample_every=None, fast_path=True,
+                 obs=None, telemetry=None, telemetry_interval=None):
+    """Run a convergecast chain: node N .. node 2 report to node 1.
+
+    The network is :func:`build_convergecast`'s; this runs it to
+    *duration_s* and reports per-node power.
+
+    With *sample_every* set, an energy-timeline sampler snapshots every
+    node on that period and the result carries the drain time-series in
+    its ``drain`` field (the sampler only reads state, so the sampled
+    run is bit-identical to an unsampled one).  *fast_path* selects the
+    cores' execution engine (results are bit-identical either way; the
+    sim-speed benchmark runs both).  *obs* optionally attaches an
+    :class:`~repro.obs.Observability` context (or a
+    :class:`~repro.obs.Blackbox`, via its ``observe``/``watchdog``)
+    to the whole network before the run -- also bit-identical.
+
+    *telemetry* optionally streams the run: pass a
+    :class:`~repro.obs.transports.TelemetryTransport` (or an NDJSON
+    path) and a :class:`~repro.obs.telemetry.TelemetryExporter` is
+    armed over the whole network for the duration, flushing every
+    *telemetry_interval* simulated seconds.  Telemetry rides the same
+    read-only observability paths, so a streamed run stays bit-identical
+    too (``tests/test_telemetry.py`` pins this on the meter digests).
+    """
+    net = build_convergecast(chain_length=chain_length, period_s=period_s,
+                             voltage=voltage, seed=seed,
+                             fast_path=fast_path, obs=obs)
 
     sampler = None
     if sample_every:
@@ -152,9 +168,7 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
         exporter.close()
 
     reports = {}
-    all_nodes = dict(reporters)
-    all_nodes[1] = sink
-    for node_id, node in sorted(all_nodes.items()):
+    for node_id, node in sorted(net.nodes.items()):
         meter = node.meter
         dmem = node.processor.dmem
         reports[node_id] = NodeReport(
@@ -166,7 +180,7 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
             average_power_w=meter.total_energy / duration_s)
     return ConvergecastResult(
         duration_s=duration_s,
-        sink_deliveries=sink.processor.dmem.peek(THRESH_COUNT),
+        sink_deliveries=net.nodes[1].processor.dmem.peek(THRESH_COUNT),
         nodes=reports,
         channel_collisions=net.channel.collisions,
         metrics=net.snapshot(),

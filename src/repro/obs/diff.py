@@ -98,16 +98,6 @@ class RunCapture:
                                  if record.get("node")})}
 
 
-def _run_sim(sim, until):
-    from repro.node.node import SensorNode
-
-    if isinstance(sim, SensorNode):
-        sim.kernel.run(until=until)
-    else:
-        sim.run(until=until)
-    return sim
-
-
 def _sim_programs(sim):
     from repro.node.node import SensorNode
 
@@ -126,12 +116,13 @@ def capture_run(sim, horizon, label="run", journeys=True):
     an uninstrumented run's.
     """
     from repro.obs.context import Observability
+    from repro.scenarios import run_to
     from repro.sim.checkpoint import network_digest
 
     obs = Observability(journeys=journeys)
     sink = obs.bus.attach(MemorySink())
     sim.attach_observability(obs)
-    _run_sim(sim, horizon)
+    run_to(sim, horizon)
     if obs.journeys is not None:
         obs.journeys.flush()
     return RunCapture(
@@ -396,7 +387,7 @@ class Bisector:
 
     *make_a* / *make_b* are builders returning ``(sim, horizon)`` with
     the simulation clock at the end of any staged prologue (the
-    :mod:`repro.sim.differential` scenario convention).  Each probe
+    :mod:`repro.scenarios` builder convention).  Each probe
     restores the latest known-good checkpoint, advances to the probe
     time, captures, and compares
     :func:`~repro.sim.checkpoint.network_digest` -- no observability is
@@ -421,10 +412,11 @@ class Bisector:
 
     @staticmethod
     def _advance(checkpoint, t):
+        from repro.scenarios import run_to
         from repro.sim.checkpoint import capture, network_digest, restore
 
         sim = restore(checkpoint)
-        _run_sim(sim, t)
+        run_to(sim, t)
         return capture(sim, unknown="skip"), network_digest(sim)
 
     def bisect(self):
@@ -432,14 +424,15 @@ class Bisector:
         diverge by the horizon, else ``{"t_lo", "t_hi", "probes",
         "digest_paths", "checkpoints"}`` (the checkpoints are the last
         digest-equal pair, for tail re-runs)."""
+        from repro.scenarios import run_to
         from repro.sim.checkpoint import capture, network_digest
 
         sim_a, sim_b, horizon = self._fresh()
         start = max(sim_a.kernel.now, sim_b.kernel.now)
         ckpt_a = capture(sim_a, unknown="skip")
         ckpt_b = capture(sim_b, unknown="skip")
-        _run_sim(sim_a, horizon)
-        _run_sim(sim_b, horizon)
+        run_to(sim_a, horizon)
+        run_to(sim_b, horizon)
         digest_a, digest_b = network_digest(sim_a), network_digest(sim_b)
         if digest_a == digest_b:
             return None

@@ -859,6 +859,43 @@ def restore(checkpoint):
     return net
 
 
+def meter_digest(processor):
+    """Every meter accumulator of one processor at full precision, for
+    exact comparison between engines and runs."""
+    meter = processor.meter
+    return {
+        "instructions": meter.instructions,
+        "cycles": meter.cycles,
+        "total_energy": meter.total_energy,
+        "busy_time": meter.busy_time,
+        "idle_time": meter.idle_time,
+        "idle_energy": meter.idle_energy,
+        "wakeups": meter.wakeups,
+        "wakeup_energy": meter.wakeup_energy,
+        "event_tokens": meter.event_tokens,
+        "event_token_energy": meter.event_token_energy,
+        "dispatch_count": meter.dispatch_count,
+        "dispatch_latency_total": meter.dispatch_latency_total,
+        "dispatch_latency_max": meter.dispatch_latency_max,
+        "imem_energy": meter.imem_energy,
+        "dmem_energy": meter.dmem_energy,
+        "by_bucket": dict(meter.by_bucket),
+        "by_class": {cls.value: (stats.count, stats.energy)
+                     for cls, stats in sorted(meter.by_class.items(),
+                                              key=lambda kv: kv[0].value)},
+        "by_handler": {tag: (stats.instructions, stats.cycles, stats.energy,
+                             stats.invocations)
+                       for tag, stats in sorted(meter.by_handler.items())},
+        "imem_reads": processor.imem.reads,
+        "imem_writes": processor.imem.writes,
+        "dmem_reads": processor.dmem.reads,
+        "dmem_writes": processor.dmem.writes,
+        "now": processor.kernel.now,
+        "pc": processor.pc,
+        "mode": processor.mode.value,
+    }
+
+
 def network_digest(sim):
     """Every meter accumulator of every node (plus channel and kernel
     counters) at full precision -- the equality the differential harness
@@ -867,7 +904,6 @@ def network_digest(sim):
     Accepts a :class:`~repro.network.NetworkSimulator` or a single
     :class:`~repro.node.SensorNode`.
     """
-    from repro.bench.simspeed import meter_digest
     from repro.network.simulator import NetworkSimulator
 
     if isinstance(sim, NetworkSimulator):

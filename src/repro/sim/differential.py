@@ -8,28 +8,11 @@ the resumed and an uninterrupted twin to the horizon ``T``, and assert
 :func:`~repro.sim.checkpoint.network_digest` equality -- every meter
 accumulator at full float precision, every radio/channel counter.
 
-Each scenario here is a *builder*: it assembles the simulation and plays
-any staged host-side prologue (boot runs, route seeding, packet
-injection), then hands back a sim that evolves autonomously to the
-horizon.  Checkpoint times are drawn from the autonomous tail, so the
-interrupted and uninterrupted twins differ only in the capture/restore
-round-trip under test.
-
-The matrix deliberately covers the state the checkpoint schema is most
-likely to get wrong:
-
-* ``straightline`` -- a single busy core (burst engine mid-flight).
-* ``blink`` -- fig. 5 timers: armed timer registers and their pending
-  kernel expirations.
-* ``sti`` -- timer-driven self-modifying code: predecoded-IMEM validity
-  must survive the round trip.
-* ``chain_biterr`` -- multi-hop DATA traffic over a noisy channel:
-  in-flight radio words, TX queues, MAC retries, and the channel noise
-  RNG mid-stream.
-* ``aodv_noroute`` -- AODV route discovery that never resolves: RREQ
-  flooding state in guest DMEM.
-* ``convergecast`` -- periodic sensing with per-node temperature RNGs
-  (the expensive case; marked slow in the tier-1 suite).
+The scenarios are the :data:`repro.scenarios.CATALOGUE` builders: each
+plays its staged host-side prologue, then hands back a sim that evolves
+autonomously to the horizon.  Checkpoint times are drawn from that
+autonomous tail, so the interrupted and uninterrupted twins differ only
+in the capture/restore round-trip under test.
 
 Run standalone (CI's ``checkpoint`` job)::
 
@@ -41,236 +24,15 @@ import argparse
 import json
 import sys
 
-from repro.asm import build
-from repro.core import CoreConfig
-from repro.isa.encoding import encode
-from repro.isa.events import Event
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
-from repro.netstack import build_blink_app, layout
-from repro.netstack.drivers import build_aodv_node, build_tx_node
-from repro.netstack.runtime import boot_source
-from repro.netstack.sampling import (
-    SAMP_NEXT_HOP,
-    SAMP_SINK,
-    build_sampling_node,
-)
-from repro.network.simulator import NetworkSimulator
-from repro.node import SensorNode
-from repro.sensors import TemperatureSensor
+from repro.obs.diff import Bisector, deep_diff_paths
+from repro.scenarios import CATALOGUE, ENGINES, resolve, run_to
 from repro.sim.checkpoint import Checkpoint, capture, network_digest, restore
-from repro.tools.snap_net_trace import (
-    UNROUTABLE_DEST,
-    seed_chain_routes,
-    stage_and_send,
-)
-
-#: Both execution engines; every scenario differential runs under each.
-ENGINES = (True, False)
-
-
-# -- scenario builders --------------------------------------------------------
-#
-# Each builder returns ``(sim, horizon)``: *sim* is a NetworkSimulator
-# or SensorNode whose clock sits at the end of the staged prologue, and
-# the simulation runs host-intervention-free from there to *horizon*.
-
-
-_STRAIGHTLINE = """
-boot:
-    movi r1, 0
-    movi r2, %(outer)d
-outer:
-    movi r3, 2000
-inner:
-    addi r1, 1
-    subi r3, 1
-    bnez r3, inner
-    subi r2, 1
-    bnez r2, outer
-    halt
-"""
-
-
-def build_straightline(fast_path):
-    """One busy core grinding a counted loop, no coprocessor traffic."""
-    node = SensorNode(node_id=1, config=CoreConfig(fast_path=fast_path))
-    node.load(build(_STRAIGHTLINE % {"outer": 12}))
-    node.processor.start()
-    return node, 0.025
-
-
-def build_blink(fast_path):
-    """Two fig. 5 blink nodes: armed timers and LED port history."""
-    net = NetworkSimulator()
-    program = build_blink_app(period_ticks=400)
-    config = CoreConfig(fast_path=fast_path)
-    net.add_node(1, program=program, config=config)
-    net.add_node(2, program=program, config=config)
-    net.start()
-    return net, 1.0
-
-
-#: Self-modifying workload: every timer tick the handler loads the next
-#: replacement word from DMEM and rewrites its own patch site, toggling
-#: it between ``mov r1, r0`` and ``add r2, r3`` -- predecode validity
-#: churns for the whole run.
-_STI_APP = r"""
-    .equ STATE, 0x10
-    .equ COUNT, 0x11
-    .equ WORDS, 0x12
-
-sti_init:
-    st r0, STATE(r0)
-    st r0, COUNT(r0)
-    movi r1, %(word_mov)d
-    st r1, WORDS(r0)
-    movi r1, %(word_add)d
-    st r1, 0x13(r0)
-    movi r2, 5
-    movi r3, 7
-    ret
-
-sti_arm:
-    movi r1, 0
-    movi r2, %(period)d
-    schedlo r1, r2
-    ret
-
-sti_handler:
-    jal sti_arm
-    ld r4, STATE(r0)
-    xori r4, 1
-    st r4, STATE(r0)
-    movi r6, WORDS
-    add r6, r4
-    ld r7, 0(r6)
-    movi r5, patch
-    sti r7, 0(r5)
-patch:
-    mov r1, r0
-    ld r3, COUNT(r0)
-    addi r3, 1
-    st r3, COUNT(r0)
-    done
-"""
-
-
-def build_sti(fast_path):
-    """Timer-driven self-modifying code (predecode churn)."""
-    word_mov = encode(Instruction(Opcode.MOV, rd=1, rs=0))[0]
-    word_add = encode(Instruction(Opcode.ADD, rd=2, rs=3))[0]
-    source = boot_source(handlers={Event.TIMER0: "sti_handler"},
-                         init_calls=("sti_init",),
-                         extra="    jal sti_arm")
-    app = _STI_APP % {"word_mov": word_mov, "word_add": word_add,
-                      "period": 500}
-    node = SensorNode(node_id=1, config=CoreConfig(fast_path=fast_path))
-    node.load(build(source + app))
-    node.processor.start()
-    return node, 0.05
-
-
-def _build_chain(fast_path, bit_error_rate, no_route, packets):
-    """The snap-net-trace chain: TX driver, AODV relays, one sink."""
-    nodes = 3
-    config = CoreConfig(fast_path=fast_path)
-    net = NetworkSimulator(comm_range=1.5, bit_error_rate=bit_error_rate,
-                           seed=7, corruption="flip")
-    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                 config=config)
-    for node_id in range(2, nodes + 1):
-        net.add_node(node_id, program=build_aodv_node(node_id),
-                     position=(float(node_id - 1), 0.0), config=config)
-    net.start()
-    net.run(until=0.01)  # everyone boots and sleeps
-
-    sink_id = nodes
-    app_dest = UNROUTABLE_DEST if no_route else sink_id
-    if not no_route:
-        seed_chain_routes(net, first_relay=2, sink_id=sink_id)
-
-    source = net.nodes[1]
-    for sequence in range(packets):
-        packet = layout.make_packet(
-            dst=2, src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
-            payload=[app_dest, 0x100 + 0x40 * sequence,
-                     0x120 + 0x55 * sequence])
-        stage_and_send(source, packet)
-        if sequence < packets - 1:
-            net.run(until=net.kernel.now + 0.05)
-    # The last packet's whole flight (CSMA backoff, per-hop relays, MAC
-    # retries under noise) happens inside the differential window.  The
-    # flight itself is over within ~8 ms; the tight horizon keeps
-    # mid-tail checkpoint fractions landing with radio words genuinely
-    # in the air rather than in the idle aftermath.
-    return net, net.kernel.now + 0.02
-
-
-def build_chain_biterr(fast_path):
-    """Multi-hop DATA delivery over a noisy, bit-flipping channel."""
-    return _build_chain(fast_path, bit_error_rate=0.02, no_route=False,
-                        packets=3)
-
-
-def build_aodv_noroute(fast_path):
-    """AODV route discovery that can never resolve (RREQ flooding)."""
-    return _build_chain(fast_path, bit_error_rate=0.0, no_route=True,
-                        packets=2)
-
-
-def build_convergecast(fast_path):
-    """Periodic sensing chain with per-node temperature-sensor RNGs."""
-    chain_length = 3
-    period_ticks = 50_000  # 50 ms sampling period
-    config = CoreConfig(fast_path=fast_path)
-    net = NetworkSimulator(comm_range=1.5)
-    net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
-                 config=config)
-    reporters = {}
-    for index in range(1, chain_length):
-        node_id = index + 1
-        node = net.add_node(
-            node_id, program=build_sampling_node(node_id, period_ticks),
-            position=(float(index), 0.0), config=config)
-        node.attach_sensor(TemperatureSensor(seed=node_id), sensor_id=1)
-        reporters[node_id] = node
-    net.start()
-    net.run(until=0.001)
-    for node_id, node in reporters.items():
-        node.processor.dmem.poke(SAMP_NEXT_HOP, node_id - 1)
-        node.processor.dmem.poke(SAMP_SINK, 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 0, 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 1, node_id - 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 2, node_id - 1)
-    count = len(reporters)
-    for offset, node in enumerate(reporters.values()):
-        stagger = int(period_ticks * (1 + offset) / (count + 1))
-        node.processor.timer.schedlo(0, period_ticks + stagger)
-    return net, net.kernel.now + 1.0
-
-
-SCENARIOS = {
-    "straightline": build_straightline,
-    "blink": build_blink,
-    "sti": build_sti,
-    "chain_biterr": build_chain_biterr,
-    "aodv_noroute": build_aodv_noroute,
-    "convergecast": build_convergecast,
-}
 
 #: The cheapest scenarios, used by CI's differential smoke matrix.
 CHEAP_SCENARIOS = ("straightline", "blink")
 
 
 # -- the differential ---------------------------------------------------------
-
-
-def _run(sim, until):
-    if isinstance(sim, SensorNode):
-        sim.kernel.run(until=until)
-    else:
-        sim.run(until=until)
 
 
 def checkpoint_time(sim, horizon, fraction):
@@ -295,11 +57,18 @@ def differential(scenario, fast_path, fraction=0.5, via_json=True,
     ``report["divergence"]``: the first divergent trace record between
     the baseline and resumed tails, pinned to node/handler/symbolicated
     PC by :mod:`repro.obs.diff` (see :func:`localize_divergence`).
+
+    Raises :class:`ValueError` unless ``0 <= fraction <= 1``: outside
+    that range the capture lands before the autonomous tail or after
+    the horizon.
     """
-    builder = SCENARIOS[scenario]
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("checkpoint fraction %r is outside [0, 1]"
+                         % (fraction,))
+    builder = CATALOGUE[scenario]
 
     baseline_sim, horizon = builder(fast_path)
-    _run(baseline_sim, horizon)
+    run_to(baseline_sim, horizon)
     baseline = network_digest(baseline_sim)
 
     subject, horizon_b = builder(fast_path)
@@ -307,12 +76,12 @@ def differential(scenario, fast_path, fraction=0.5, via_json=True,
         raise AssertionError("non-deterministic scenario builder %r"
                              % scenario)
     t = checkpoint_time(subject, horizon, fraction)
-    _run(subject, t)
+    run_to(subject, t)
     checkpoint = capture(subject)
     if via_json:
         checkpoint = Checkpoint.from_json(checkpoint.to_json())
     resumed_sim = restore(checkpoint)
-    _run(resumed_sim, horizon)
+    run_to(resumed_sim, horizon)
     resumed = network_digest(resumed_sim)
 
     report = {
@@ -345,18 +114,16 @@ def localize_divergence(scenario, fast_path, t, via_json=True,
     The restore here goes through this module's ``restore`` binding so
     fault-injection harnesses can intercept exactly the path under test.
     """
-    from repro.obs.diff import Bisector
-
-    builder = SCENARIOS[scenario]
+    builder = CATALOGUE[scenario]
 
     def make_baseline():
         sim, horizon = builder(fast_path)
-        _run(sim, t)
+        run_to(sim, t)
         return sim, horizon
 
     def make_resumed():
         sim, horizon = builder(fast_path)
-        _run(sim, t)
+        run_to(sim, t)
         ckpt = capture(sim)
         if via_json:
             ckpt = Checkpoint.from_json(ckpt.to_json())
@@ -370,17 +137,6 @@ def localize_divergence(scenario, fast_path, t, via_json=True,
     result = divergence.to_dict()
     result["text"] = divergence.describe()
     return result
-
-
-def digest_diff(baseline, resumed, prefix=""):
-    """Human-readable paths where two digests differ (for reports).
-
-    Alias of :func:`repro.obs.diff.deep_diff_paths`, kept under the
-    name this harness has always exported.
-    """
-    from repro.obs.diff import deep_diff_paths
-
-    return deep_diff_paths(baseline, resumed, prefix)
 
 
 def main(argv=None):
@@ -399,33 +155,41 @@ def main(argv=None):
                              "and print only digest paths")
     args = parser.parse_args(argv)
 
-    names = list(SCENARIOS) if args.scenarios == "all" \
+    names = list(CATALOGUE) if args.scenarios == "all" \
         else args.scenarios.split(",")
-    unknown = [name for name in names if name not in SCENARIOS]
-    if unknown:
-        parser.error("unknown scenarios: %s (have: %s)"
-                     % (", ".join(unknown), ", ".join(SCENARIOS)))
-    fractions = [float(field) for field in args.fractions.split(",")]
+    try:
+        runs = [resolve("%s:%s" % (name, engine))
+                for name in names for engine in ENGINES]
+    except ValueError as error:
+        parser.error(str(error))
+    fractions = []
+    for field in args.fractions.split(","):
+        try:
+            fraction = float(field)
+        except ValueError:
+            parser.error("--fractions: %r is not a number" % field)
+        if not 0.0 <= fraction <= 1.0:
+            parser.error("--fractions: %r is outside [0, 1]" % field)
+        fractions.append(fraction)
 
     reports, failed = [], 0
-    for name in names:
-        for fast_path in ENGINES:
-            for fraction in fractions:
-                report = differential(name, fast_path, fraction=fraction,
-                                      localize=args.localize)
-                reports.append(report)
-                verdict = "ok" if report["identical"] else "DIVERGED"
-                print("%-14s fast_path=%-5s t=%.6fs  %s"
-                      % (name, fast_path, report["t"], verdict))
-                if not report["identical"]:
-                    failed += 1
-                    for line in digest_diff(report["baseline"],
+    for name, fast_path in runs:
+        for fraction in fractions:
+            report = differential(name, fast_path, fraction=fraction,
+                                  localize=args.localize)
+            reports.append(report)
+            verdict = "ok" if report["identical"] else "DIVERGED"
+            print("%-14s fast_path=%-5s t=%.6fs  %s"
+                  % (name, fast_path, report["t"], verdict))
+            if not report["identical"]:
+                failed += 1
+                for line in deep_diff_paths(report["baseline"],
                                             report["resumed"])[:20]:
+                    print("    " + line)
+                divergence = report.get("divergence")
+                if divergence is not None:
+                    for line in divergence["text"].splitlines():
                         print("    " + line)
-                    divergence = report.get("divergence")
-                    if divergence is not None:
-                        for line in divergence["text"].splitlines():
-                            print("    " + line)
 
     if args.json:
         with open(args.json, "w") as handle:

@@ -2,7 +2,8 @@
 
 Point it at any two of: a recorded JSONL trace stream, a saved
 checkpoint file (``repro.sim.checkpoint/1``, replayed to ``--until``),
-or a built-in differential scenario (``scenario:NAME[:fast|ref]``).
+or a :data:`repro.scenarios.CATALOGUE` scenario
+(``scenario:NAME[:fast|ref]``).
 The tool aligns the two typed trace streams, localizes the first
 divergent record (node, handler, symbolicated PC, flight-recorder tails
 from both sides), and renders the structured cross-run comparison --
@@ -48,25 +49,6 @@ from repro.obs.diff import (
 TRACE_SUFFIXES = (".jsonl", ".ndjson")
 
 
-def _scenario_spec(spec):
-    """Parse ``scenario:NAME[:fast|ref]``; returns ``(name, fast_path)``."""
-    from repro.sim.differential import SCENARIOS
-
-    fields = spec.split(":")
-    if len(fields) not in (2, 3):
-        raise DiffError("bad scenario spec %r (want scenario:NAME[:fast|ref])"
-                        % spec)
-    name = fields[1]
-    if name not in SCENARIOS:
-        raise DiffError("unknown scenario %r (have: %s)"
-                        % (name, ", ".join(SCENARIOS)))
-    engine = fields[2] if len(fields) == 3 else "fast"
-    if engine not in ("fast", "ref"):
-        raise DiffError("bad engine %r in %r (want fast or ref)"
-                        % (engine, spec))
-    return name, engine == "fast"
-
-
 def _sniff_checkpoint(path):
     from repro.sim.checkpoint import SCHEMA
 
@@ -94,13 +76,15 @@ class RunSpec:
         self.until = until
         self.builder = None
         if spec.startswith("scenario:"):
-            from repro.sim.differential import SCENARIOS
+            from repro.scenarios import CATALOGUE, resolve
 
-            name, fast_path = _scenario_spec(spec)
-            builder = SCENARIOS[name]
+            try:
+                name, fast_path = resolve(spec[len("scenario:"):])
+            except ValueError as error:
+                raise DiffError(str(error))
 
             def make():
-                sim, horizon = builder(fast_path)
+                sim, horizon = CATALOGUE[name](fast_path)
                 return sim, until if until is not None else horizon
 
             self.builder = make

@@ -1,6 +1,6 @@
 """``snap-energy``: causal energy provenance for a simulated run.
 
-Runs a built-in scenario under an armed
+Runs a :data:`repro.scenarios.CATALOGUE` scenario under an armed
 :class:`~repro.obs.energy.EnergyLedger` and reports where every
 picojoule went, four ways: per guest source line (with collapsed-stack
 and speedscope flame-graph export), per protocol layer, per packet
@@ -39,54 +39,13 @@ import sys
 from repro.obs.context import Observability
 from repro.obs.energy import project_lifetime
 from repro.obs.timeline import TimelineSampler
+from repro.scenarios import CATALOGUE, resolve, run_to
 
 #: Default reconciliation gate: views must attribute the meter total to
 #: within this relative residual.  Observed residuals are float-
 #: association noise (1e-12 .. 1e-7 relative); the acceptance bar in
 #: the docs is 1e-2.
 DEFAULT_TOLERANCE = 1e-4
-
-#: The fig. 5 blink written in the C dialect, so every hot frame
-#: symbolicates to a real ``file:line`` in ``blink.c`` (the assembly
-#: scenarios carry assembler line tables instead).
-C_BLINK = """\
-int state;
-
-void arm() { __schedlo(0, 400); }
-
-void init() { state = 0; arm(); }
-
-__handler void on_timer() {
-    state = 1 - state;
-    __r15_write(16384 + state);
-    arm();
-}
-"""
-
-
-def build_c_blink(fast_path=True):
-    """A single fig5-blink node compiled from :data:`C_BLINK`."""
-    from repro.cc.compiler import build_c_node
-    from repro.core import CoreConfig
-    from repro.isa.events import Event
-    from repro.node.node import SensorNode
-
-    program = build_c_node(C_BLINK, handlers={Event.TIMER0: "on_timer"},
-                           source_name="blink.c")
-    node = SensorNode(node_id=1, config=CoreConfig(fast_path=fast_path))
-    node.load(program)
-    node.processor.start()
-    return node, 1.0
-
-
-def scenarios():
-    """Name -> ``builder(fast_path) -> (sim, horizon)``."""
-    from repro.sim.differential import SCENARIOS
-
-    table = dict(SCENARIOS)
-    table["c_blink"] = build_c_blink
-    return table
-
 
 def run_scenario(name, fast_path=True, until=None, capacity=None,
                  budgets=None, timeline_interval=None):
@@ -98,8 +57,7 @@ def run_scenario(name, fast_path=True, until=None, capacity=None,
     """
     from repro.node.node import SensorNode
 
-    builder = scenarios()[name]
-    sim, horizon = builder(fast_path)
+    sim, horizon = CATALOGUE[name](fast_path)
     if until is not None:
         horizon = until
     obs = Observability(energy=True, journeys=True)
@@ -123,10 +81,7 @@ def run_scenario(name, fast_path=True, until=None, capacity=None,
         watchdog.watch(sim)
         watchdog.start()
 
-    if isinstance(sim, SensorNode):
-        sim.kernel.run(until=horizon)
-    else:
-        sim.run(until=horizon)
+    run_to(sim, horizon)
     if obs.journeys is not None:
         obs.journeys.flush()
     return obs, sim, sampler, watchdog
@@ -365,7 +320,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in sorted(scenarios()):
+        for name in sorted(CATALOGUE):
             print(name)
         return 0
     if args.self_test:
@@ -375,10 +330,10 @@ def main(argv=None):
     if not args.scenario:
         parser.error("a scenario is required "
                      "(or --list / --self-test / --demo-budget)")
-    if args.scenario not in scenarios():
-        print("snap-energy: error: unknown scenario %r (have: %s)"
-              % (args.scenario, ", ".join(sorted(scenarios()))),
-              file=sys.stderr)
+    try:
+        scenario, fast_path = resolve("%s:%s" % (args.scenario, args.engine))
+    except ValueError as error:
+        print("snap-energy: error: %s" % error, file=sys.stderr)
         return 2
     if args.lifetime and args.capacity is None:
         parser.error("--lifetime needs --capacity (joules per node)")
@@ -395,7 +350,7 @@ def main(argv=None):
 
     try:
         obs, sim, sampler, watchdog = run_scenario(
-            args.scenario, fast_path=args.engine == "fast",
+            scenario, fast_path=fast_path,
             until=args.until,
             capacity=args.capacity if args.lifetime else None,
             budgets=budgets)

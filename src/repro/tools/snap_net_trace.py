@@ -27,31 +27,8 @@ import argparse
 import json
 import sys
 
-from repro.core import CoreConfig
-from repro.netstack import layout
-from repro.netstack.drivers import build_aodv_node, build_tx_node
-from repro.network import NetworkSimulator
 from repro.obs import JsonlSink, MemorySink, Observability, write_chrome_trace
-
-#: Application destination used by ``--no-route``: no such node exists,
-#: so every route lookup misses and the relay drops with ``no_route``.
-UNROUTABLE_DEST = 0x7F
-
-
-def stage_and_send(node, packet):
-    """Stage a packet body in a node's TX buffer and trigger its MAC."""
-    for index, word in enumerate(packet[:-1]):
-        node.processor.dmem.poke(layout.TX_BUF + index, word)
-    node.processor.raise_soft_event()
-
-
-def seed_chain_routes(net, first_relay, sink_id):
-    """Give every relay a route to the sink via its right-hand neighbour."""
-    for node_id in range(first_relay, sink_id):
-        dmem = net.nodes[node_id].processor.dmem
-        dmem.poke(layout.ROUTE_TABLE + 0, sink_id)
-        dmem.poke(layout.ROUTE_TABLE + 1, node_id + 1)
-        dmem.poke(layout.ROUTE_TABLE + 2, sink_id - node_id)
+from repro.scenarios import build_chain, send
 
 
 def run_chain_scenario(nodes=5, packets=3, bit_error_rate=0.0,
@@ -61,7 +38,9 @@ def run_chain_scenario(nodes=5, packets=3, bit_error_rate=0.0,
                        jsonl_path=None, observe=True):
     """Build and run the chain scenario; returns ``(net, obs, extras)``.
 
-    *extras* is a dict with the memory sink, the timeline sampler, and
+    The chain is :func:`repro.scenarios.build_chain`'s; one DATA packet
+    is injected per *window* after the boot.  *extras* is a dict with
+    the memory sink, the timeline sampler (started after the boot), and
     the (closed) JSONL sink if one was requested.  With
     ``observe=False`` the scenario runs completely uninstrumented
     (``obs`` comes back ``None``) -- the bit-identity tests compare
@@ -76,37 +55,16 @@ def run_chain_scenario(nodes=5, packets=3, bit_error_rate=0.0,
         if jsonl_path:
             jsonl = obs.bus.attach(JsonlSink(jsonl_path))
 
-    config = CoreConfig(voltage=voltage)
-    net = NetworkSimulator(comm_range=comm_range,
-                           bit_error_rate=bit_error_rate, seed=seed,
-                           corruption=corruption)
-    if obs is not None:
-        net.attach_observability(obs)
-    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                 config=config)
-    for node_id in range(2, nodes + 1):
-        net.add_node(node_id, program=build_aodv_node(node_id),
-                     position=(float(node_id - 1), 0.0), config=config)
+    net, app_dest = build_chain(
+        nodes=nodes, bit_error_rate=bit_error_rate, corruption=corruption,
+        seed=seed, comm_range=comm_range, voltage=voltage,
+        no_route=no_route, obs=obs)
     sampler = None
     if sample_every:
         sampler = net.timeline_sampler(sample_every)
 
-    net.run(until=0.01)  # everyone boots and sleeps
-
-    sink_id = nodes
-    app_dest = UNROUTABLE_DEST if no_route else sink_id
-    if not no_route:
-        seed_chain_routes(net, first_relay=2, sink_id=sink_id)
-
-    source = net.nodes[1]
     for sequence in range(packets):
-        field_a = 0x100 + 0x40 * sequence
-        field_b = 0x120 + 0x55 * sequence
-        packet = layout.make_packet(
-            dst=2,  # MAC next hop: the first relay
-            src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
-            payload=[app_dest, field_a, field_b])
-        stage_and_send(source, packet)
+        send(net, sequence, app_dest)
         net.run(until=net.kernel.now + window)
 
     if obs is not None:

@@ -4,7 +4,7 @@ Run deliberately, only alongside a checkpoint schema version bump::
 
     PYTHONPATH=src python -m tests.regen_checkpoint_golden
 
-The golden is the checkpoint of the ``sti`` differential scenario
+The golden is the checkpoint of the ``sti`` catalogue scenario
 (timer-driven self-modifying code -- it exercises predecode validity,
 armed timers, and handler state) captured at t=0.02 s, exactly as
 ``tests/test_checkpoint.py::TestSchemaVersioning::test_golden_schema_v1``
@@ -13,16 +13,16 @@ rebuilds it.
 
 import os
 
+from repro.scenarios import CATALOGUE, run_to
 from repro.sim.checkpoint import capture
-from repro.sim.differential import SCENARIOS, _run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
                       "checkpoint_v1.json")
 
 
 def main():
-    node, _ = SCENARIOS["sti"](True)
-    _run(node, 0.02)
+    node, _ = CATALOGUE["sti"](True)
+    run_to(node, 0.02)
     capture(node).save(GOLDEN)
     print("wrote %s" % GOLDEN)
 

@@ -1,7 +1,7 @@
 """Checkpoint/restore differential harness and schema tests.
 
-The headline proof for :mod:`repro.sim.checkpoint`: for every scenario
-in the :mod:`repro.sim.differential` matrix and both execution engines,
+The headline proof for :mod:`repro.sim.checkpoint`: for every
+:mod:`repro.scenarios` catalogue entry and both execution engines,
 a simulation checkpointed at a mid-flight time ``t`` and resumed runs
 bit-identically to one that was never interrupted -- meter digests,
 trace streams, and packet-journey trees all match exactly.  Plus
@@ -33,13 +33,10 @@ from repro.sim import (
     network_digest,
     restore,
 )
-from repro.sim.differential import (
-    SCENARIOS,
-    _run,
-    checkpoint_time,
-    differential,
-    digest_diff,
-)
+from repro.obs.diff import deep_diff_paths
+from repro.scenarios import CATALOGUE, run_to
+from repro.sim.differential import checkpoint_time, differential
+from repro.sim.differential import main as differential_main
 from repro.tools.snap_flight import main as snap_flight_main
 from repro.tools.snap_run import main as snap_run_main
 
@@ -47,8 +44,8 @@ ENGINES = [True, False]
 
 #: Scenarios cheap enough for the tier-1 suite; the convergecast cases
 #: carry ``@pytest.mark.slow`` and run in CI's full matrix.
-TIER1_SCENARIOS = ["straightline", "blink", "sti", "chain_biterr",
-                   "aodv_noroute"]
+TIER1_SCENARIOS = ["straightline", "blink", "c_blink", "sti",
+                   "chain_biterr", "aodv_noroute"]
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
                       "checkpoint_v1.json")
@@ -73,7 +70,7 @@ class TestDifferentialMatrix:
         report = differential(scenario, fast_path,
                               fraction=_fraction(scenario, fast_path))
         assert report["identical"], "\n".join(
-            digest_diff(report["baseline"], report["resumed"]))
+            deep_diff_paths(report["baseline"], report["resumed"]))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("fast_path", ENGINES)
@@ -81,7 +78,7 @@ class TestDifferentialMatrix:
         report = differential("convergecast", fast_path,
                               fraction=_fraction("convergecast", fast_path))
         assert report["identical"], "\n".join(
-            digest_diff(report["baseline"], report["resumed"]))
+            deep_diff_paths(report["baseline"], report["resumed"]))
 
     def test_differential_round_trips_via_json(self):
         """The persisted JSON text, not just the in-memory dict, is what
@@ -90,54 +87,69 @@ class TestDifferentialMatrix:
         assert report["identical"]
 
 
+class TestDifferentialInput:
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5])
+    def test_fraction_outside_the_tail_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match="outside"):
+            differential("straightline", True, fraction=fraction)
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-0.5", "0.25,nan"])
+    def test_cli_rejects_bad_fractions(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            differential_main(["--scenarios", "straightline",
+                               "--fractions", value])
+        assert exit_info.value.code == 2
+        assert "--fractions" in capsys.readouterr().err
+
+
 class TestTraceStreamIdentity:
     """The resumed run's trace stream equals the uninterrupted run's
     stream filtered to events after the checkpoint time."""
 
     @pytest.mark.parametrize("fast_path", ENGINES)
     def test_blink_stream_tail_matches(self, fast_path):
-        builder = SCENARIOS["blink"]
+        builder = CATALOGUE["blink"]
 
         baseline, horizon = builder(fast_path)
         obs = Observability()
         sink = obs.bus.attach(MemorySink())
         baseline.attach_observability(obs)
         t = checkpoint_time(baseline, horizon, 0.4)
-        _run(baseline, horizon)
+        run_to(baseline, horizon)
 
         subject, _ = builder(fast_path)
         subject_obs = Observability()
         subject.attach_observability(subject_obs)
         subject_obs.bus.attach(MemorySink())
-        _run(subject, t)
+        run_to(subject, t)
         resumed = restore(Checkpoint.from_json(capture(subject).to_json()))
         resumed_obs = Observability()
         resumed_sink = resumed_obs.bus.attach(MemorySink())
         resumed.attach_observability(resumed_obs)
-        _run(resumed, horizon)
+        run_to(resumed, horizon)
 
         tail = [record for record in sink.records() if record["time"] > t]
         assert tail  # non-vacuous: the tail saw real activity
         assert resumed_sink.records() == tail
 
     def test_chain_stream_tail_matches(self):
-        builder = SCENARIOS["chain_biterr"]
+        builder = CATALOGUE["chain_biterr"]
 
         baseline, horizon = builder(True)
         obs = Observability()
         sink = obs.bus.attach(MemorySink())
         baseline.attach_observability(obs)
         t = checkpoint_time(baseline, horizon, 0.25)
-        _run(baseline, horizon)
+        run_to(baseline, horizon)
 
         subject, _ = builder(True)
         subject.attach_observability(Observability())
-        _run(subject, t)
+        run_to(subject, t)
         resumed = restore(capture(subject))
         resumed_obs = Observability()
         resumed_sink = resumed_obs.bus.attach(MemorySink())
         resumed.attach_observability(resumed_obs)
-        _run(resumed, horizon)
+        run_to(resumed, horizon)
 
         tail = [record for record in sink.records() if record["time"] > t]
         assert tail
@@ -157,22 +169,22 @@ class TestJourneyTreeIdentity:
 
     @staticmethod
     def _journeys_after(sim, t, horizon):
-        _run(sim, t)
+        run_to(sim, t)
         obs = Observability(journeys=True)
         sim.attach_observability(obs)
-        _run(sim, horizon)
+        run_to(sim, horizon)
         obs.journeys.flush()
         return [journey.tree() for journey in obs.journeys.journeys]
 
     def _check(self, scenario, fraction):
-        builder = SCENARIOS[scenario]
+        builder = CATALOGUE[scenario]
 
         baseline, horizon = builder(True)
         t = checkpoint_time(baseline, horizon, fraction)
         want = self._journeys_after(baseline, t, horizon)
 
         subject, _ = builder(True)
-        _run(subject, t)
+        run_to(subject, t)
         resumed = restore(Checkpoint.from_json(capture(subject).to_json()))
         got = self._journeys_after(resumed, t, horizon)
 
@@ -287,9 +299,9 @@ class TestSchemaVersioning:
 
             PYTHONPATH=src python -m tests.regen_checkpoint_golden
         """
-        builder = SCENARIOS["sti"]
+        builder = CATALOGUE["sti"]
         node, _ = builder(True)
-        _run(node, 0.02)
+        run_to(node, 0.02)
         data = json.loads(capture(node).to_json())
         with open(GOLDEN) as handle:
             golden = json.load(handle)

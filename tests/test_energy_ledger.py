@@ -23,11 +23,12 @@ import math
 
 import pytest
 
-from repro.bench.simspeed import meter_digest
 from repro.node import SensorNode
 from repro.obs import Observability
 from repro.obs.energy import layer_split_from_meter, project_lifetime
 from repro.obs.watchdog import InvariantViolation
+from repro.scenarios import CATALOGUE, run_to
+from repro.sim.checkpoint import meter_digest
 from repro.tools import snap_energy
 
 #: The issue's acceptance bar on each view's residual fraction.
@@ -36,11 +37,8 @@ ACCEPTANCE_RESIDUAL = 0.01
 
 def _run_bare(name, fast_path=True):
     """One scenario run without any observability attached."""
-    sim, horizon = snap_energy.scenarios()[name](fast_path)
-    if isinstance(sim, SensorNode):
-        sim.kernel.run(until=horizon)
-    else:
-        sim.run(until=horizon)
+    sim, horizon = CATALOGUE[name](fast_path)
+    run_to(sim, horizon)
     return sim
 
 
@@ -242,7 +240,7 @@ def test_telemetry_streams_energy_records():
 
     from repro.obs import StreamTransport, TelemetryExporter
 
-    sim, horizon = snap_energy.scenarios()["blink"](True)
+    sim, horizon = CATALOGUE["blink"](True)
     obs = Observability(energy=True)
     sim.attach_observability(obs)
     stream = io.StringIO()

@@ -13,7 +13,6 @@ most -- self-modifying code, r15 stalls, and timer-driven sleep/wake.
 import pytest
 
 from repro.asm import build
-from repro.bench.simspeed import meter_digest
 from repro.core import CoreConfig, SnapProcessor
 from repro.core.processor import Mode
 from repro.isa.encoding import encode
@@ -22,6 +21,7 @@ from repro.isa.opcodes import Opcode
 from repro.netstack import build_blink_app
 from repro.node import SensorNode
 from repro.obs import MemorySink, Observability
+from repro.sim.checkpoint import meter_digest
 
 ENGINES = [True, False]
 

@@ -121,7 +121,7 @@ class TestBlackboxBitIdentical:
     (the full-precision digest, not the rounded one above)."""
 
     def test_fig5_blink_digest_identical(self):
-        from repro.bench.simspeed import meter_digest
+        from repro.sim.checkpoint import meter_digest
         from repro.netstack import build_blink_app
         from repro.node.node import SensorNode
         from repro.obs import Blackbox

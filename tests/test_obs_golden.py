@@ -23,7 +23,7 @@ from repro.netstack.drivers import build_aodv_node, build_tx_node
 from repro.network import NetworkSimulator
 from repro.node import SensorNode
 from repro.obs import KindFilter, MemorySink, Observability, project_trace
-from repro.tools.snap_net_trace import stage_and_send
+from repro.scenarios import stage_and_send
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 

@@ -19,7 +19,6 @@ from repro.bench.sweep import (
     strip_volatile,
     sweep_scenario,
 )
-from repro.bench.simspeed import meter_digest
 from repro.core import (
     CoreConfig,
     PredecodeCache,
@@ -29,6 +28,7 @@ from repro.core import (
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.sim.checkpoint import meter_digest
 
 #: Cheap deterministic scenario: no simulation, just echoes its inputs.
 @sweep_scenario("_test_echo")
@@ -309,3 +309,23 @@ class TestSweepCli:
                      "--fixed", "poison=2"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+
+COMMITTED_SWEEP = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "BENCH_SWEEP.json")
+
+
+class TestCommittedSweep:
+    def test_committed_cell_digests_reproduce(self):
+        """Re-run the committed ``BENCH_SWEEP.json`` grid serially: every
+        cell digest must equal the committed one (the oracle for any
+        change to the scenarios the sweep runs)."""
+        with open(COMMITTED_SWEEP) as handle:
+            committed = json.load(handle)["results"]
+        sweep = Sweep(scenario=committed["scenario"],
+                      grid=committed["grid"], fixed=committed["fixed"],
+                      replicas=committed["replicas"],
+                      base_seed=committed["base_seed"])
+        result = run_sweep(sweep, workers=1)
+        assert result.digests() == {cell["index"]: cell["digest"]
+                                    for cell in committed["cells"]}

@@ -24,7 +24,6 @@ import os
 import socket
 
 from repro.asm import build
-from repro.bench.simspeed import meter_digest
 from repro.core import CoreConfig
 from repro.core.kernel import Kernel
 from repro.netstack import build_blink_app
@@ -42,6 +41,7 @@ from repro.obs import (
     project_telemetry,
 )
 from repro.obs.telemetry import SCHEMA, read_stream
+from repro.sim.checkpoint import meter_digest
 from repro.tools import snap_run, snap_top
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
