@@ -76,6 +76,8 @@ class Observability:
         #: set by the exporter itself when it attaches; lets the
         #: blackbox embed the live stream tail in crash bundles.
         self.telemetry = None
+        #: node -> its ``<node>.instructions`` counter.
+        self._instruction_counters = {}
 
     def observe(self, target):
         """Attach this context to any instrumentable *target*.
@@ -124,11 +126,18 @@ class Observability:
 
     def instruction_retired(self, node, time, pc, instruction, handler,
                             energy, duration):
-        self.metrics.counter(node + ".instructions").inc()
-        self.bus.emit(InstructionRetired(
-            time=time, node=node, pc=pc, mnemonic=instruction.text(),
-            instr_class=instruction.spec.instr_class.value,
-            handler=handler, energy=energy, duration=duration))
+        # The hottest hook: with no sinks listening it only bumps the
+        # node's counter and the flight ring, building no event.
+        counter = self._instruction_counters.get(node)
+        if counter is None:
+            counter = self._instruction_counters[node] = \
+                self.metrics.counter(node + ".instructions")
+        counter.inc()
+        if self.bus.sinks:
+            self.bus.emit(InstructionRetired(
+                time=time, node=node, pc=pc, mnemonic=instruction.text(),
+                instr_class=instruction.spec.instr_class.value,
+                handler=handler, energy=energy, duration=duration))
         if self.flight is not None:
             self.flight.record_instruction(node, time, pc, instruction,
                                            handler, energy)

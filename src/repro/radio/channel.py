@@ -8,6 +8,7 @@ overlapped it in time.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -20,13 +21,27 @@ CORRUPTION_FLIP = "flip"
 
 
 class Channel:
-    """A single shared radio channel."""
+    """A single shared radio channel.
+
+    A word's cost is bounded by its neighbourhood, not by the run's
+    history or the network's size:
+
+    * **Neighbour sets.**  Each radio's in-range peers are found once and
+      cached; :meth:`join`, a move (``Radio.position``) and a
+      ``comm_range`` assignment drop the cache.  A word fans out to the
+      sender's neighbours in join order, which fixes the order of the
+      noise RNG draws and of every delivery the receivers schedule.
+    * **Ordered window.**  Completed words wait in a deque for overlap
+      checks.  :meth:`end_transmission` runs at the kernel's
+      non-decreasing clock, so the deque is ordered by end time, and
+      words that ended more than twice the longest joined word duration
+      ago -- which can no longer overlap any word still to end -- are
+      popped off its front.
+    """
 
     def __init__(self, comm_range=None, bit_error_rate=0.0, seed=0,
                  corruption=CORRUPTION_DROP):
-        #: Maximum link distance in the same units as radio positions;
-        #: None means every radio hears every other.
-        self.comm_range = comm_range
+        self._comm_range = comm_range
         #: Probability that any given transmitted word is corrupted by
         #: channel noise (applied per receiver, independently).
         self.bit_error_rate = bit_error_rate
@@ -35,11 +50,17 @@ class Channel:
         self.corruption = corruption
         self._rng = np.random.RandomState(seed)
         self._radios = []
+        #: radio -> (receivers of its words in join order, the set of
+        #: radios in its range including itself); built lazily.
+        self._neighbours = {}
+        #: How long a completed word stays in :attr:`_recent`: twice the
+        #: longest word duration of any joined radio.
+        self._horizon = 0.0
         #: Active transmissions: radio -> (start, end).
         self._active = {}
-        #: Completed transmission intervals kept for overlap checks:
-        #: (radio, start, end).
-        self._recent = []
+        #: Completed transmission intervals kept for overlap checks,
+        #: ordered by end time: (radio, start, end).
+        self._recent = deque()
         self.collisions = 0
         self.words_carried = 0
         self.noise_corruptions = 0
@@ -47,23 +68,42 @@ class Channel:
         #: disables all instrumentation.
         self.obs = None
 
+    @property
+    def comm_range(self):
+        """Maximum link distance in the same units as radio positions;
+        None means every radio hears every other."""
+        return self._comm_range
+
+    @comm_range.setter
+    def comm_range(self, value):
+        self._comm_range = value
+        self.topology_changed()
+
     def join(self, radio, position=None):
         """Attach a radio to the medium."""
         if position is not None:
             radio.position = position
         radio.channel = self
         self._radios.append(radio)
+        self._horizon = max(self._horizon, 2 * radio.config.word_duration)
+        self.topology_changed()
+
+    def topology_changed(self):
+        """Forget every cached neighbour set (a radio joined or moved, or
+        the range changed)."""
+        self._neighbours.clear()
 
     def in_range(self, sender, receiver):
-        if self.comm_range is None:
+        if self._comm_range is None:
             return True
         sx, sy = sender.position
         rx, ry = receiver.position
-        return math.hypot(sx - rx, sy - ry) <= self.comm_range
+        return math.hypot(sx - rx, sy - ry) <= self._comm_range
 
     def busy_near(self, radio):
         """Is any in-range radio currently transmitting? (CCA support.)"""
-        return any(other is not radio and self.in_range(other, radio)
+        heard = self._neighbours_of(radio)[1]
+        return any(other is not radio and other in heard
                    for other in self._active)
 
     # -- called by Radio ----------------------------------------------------
@@ -78,9 +118,7 @@ class Channel:
         self.words_carried += 1
         if self.obs is not None:
             self.obs.channel_word()
-        for receiver in self._radios:
-            if receiver is radio or not self.in_range(radio, receiver):
-                continue
+        for receiver in self._neighbours_of(radio)[0]:
             delivered = word
             fate = "ok"
             corrupted = self._collided(radio, receiver, start, end)
@@ -117,21 +155,33 @@ class Channel:
 
     # -- internals ------------------------------------------------------------
 
+    def _neighbours_of(self, radio):
+        """*radio*'s (receivers in join order, in-range set), cached."""
+        entry = self._neighbours.get(radio)
+        if entry is None:
+            heard = [other for other in self._radios
+                     if self.in_range(radio, other)]
+            entry = self._neighbours[radio] = (
+                tuple(other for other in heard if other is not radio),
+                frozenset(heard))
+        return entry
+
     def _collided(self, sender, receiver, start, end):
         """Did any other in-range transmission overlap [start, end]?"""
+        heard = self._neighbours_of(receiver)[1]
         for other, (other_start, other_end) in self._active.items():
-            if other is sender:
-                continue
-            if self.in_range(other, receiver) and other_start < end and start < other_end:
+            if (other_start < end and start < other_end
+                    and other is not sender and other in heard):
                 return True
         for other, other_start, other_end in self._recent:
-            if other is sender:
-                continue
-            if self.in_range(other, receiver) and other_start < end and start < other_end:
+            if (other_start < end and start < other_end
+                    and other is not sender and other in heard):
                 return True
         return False
 
     def _gc(self, now):
-        """Drop completed intervals that can no longer overlap anything."""
-        horizon = now - 1.0  # one second is far beyond any word duration
-        self._recent = [entry for entry in self._recent if entry[2] >= horizon]
+        """Pop completed intervals that can no longer overlap anything."""
+        recent = self._recent
+        stale = now - self._horizon
+        while recent[0][2] < stale:
+            recent.popleft()

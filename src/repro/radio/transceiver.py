@@ -91,6 +91,17 @@ class Radio:
             self._start_next_word()
 
     @property
+    def position(self):
+        """Where the radio sits, in the channel's distance units."""
+        return self._position
+
+    @position.setter
+    def position(self, value):
+        self._position = value
+        if self.channel is not None:
+            self.channel.topology_changed()
+
+    @property
     def tx_pending(self):
         """Words queued or in flight."""
         return len(self._tx_queue) + (1 if self._tx_busy else 0)

@@ -31,7 +31,8 @@ What is captured
 * **Energy accounting** -- every :class:`~repro.energy.EnergyMeter`
   accumulator at full precision, per-class, per-bucket and per-handler.
 * **Channel** -- physics parameters, the Bernoulli noise RNG state,
-  active/recent transmission intervals, and counters.
+  active transmission intervals, the recent ones still inside the
+  channel's overlap window (twice the longest word), and counters.
 
 What is recomputed on restore
 =============================
@@ -51,6 +52,7 @@ pins the layout against accidental drift.
 """
 
 import json
+from collections import deque
 
 import numpy as np
 
@@ -729,12 +731,35 @@ def _channel_state(channel, radio_keys):
     }
 
 
+def _channel_intervals(state, field, nodes_by_key):
+    """The ``channel.<field>`` entries as (radio, start, end) tuples."""
+    intervals = []
+    for entry in state[field]:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and all(isinstance(value, (int, float))
+                        for value in entry[1:])):
+            raise CheckpointError(
+                "channel.%s entry %r is not [key, start, end]"
+                % (field, entry))
+        key, start, end = entry
+        node = nodes_by_key.get(key) if isinstance(key, str) else None
+        if node is None:
+            raise CheckpointError(
+                "channel.%s entry references unknown node %r"
+                % (field, key))
+        intervals.append((node.radio, start, end))
+    return intervals
+
+
 def _restore_channel(channel, state, nodes_by_key):
     _restore_rng(channel._rng, state["rng"])
-    channel._active = {nodes_by_key[key].radio: (start, end)
-                       for key, start, end in state["active"]}
-    channel._recent = [(nodes_by_key[key].radio, start, end)
-                       for key, start, end in state["recent"]]
+    channel._active = {radio: (start, end) for radio, start, end
+                       in _channel_intervals(state, "active", nodes_by_key)}
+    # The channel prunes its window from the front, so it must be
+    # ordered by end time.
+    channel._recent = deque(sorted(
+        _channel_intervals(state, "recent", nodes_by_key),
+        key=lambda interval: interval[2]))
     channel.collisions = state["collisions"]
     channel.words_carried = state["words_carried"]
     channel.noise_corruptions = state["noise_corruptions"]

@@ -350,6 +350,49 @@ class TestCapturePolicy:
                                           (0.2, 2, print, ())])
 
 
+class TestChannelRestore:
+    """A malformed ``channel`` section fails with a typed error."""
+
+    def _checkpoint(self):
+        net, horizon = CATALOGUE["chain_biterr"](True)
+        run_to(net, net.kernel.now + 0.5 * (horizon - net.kernel.now))
+        data = json.loads(capture(net).to_json())
+        assert data["channel"]["recent"]
+        return data
+
+    @pytest.mark.parametrize("field", ["active", "recent"])
+    def test_unknown_node_key_is_a_checkpoint_error(self, field):
+        data = self._checkpoint()
+        data["channel"][field] = [["99", 0.0, 0.001]]
+        with pytest.raises(CheckpointError) as excinfo:
+            restore(data)
+        assert "channel.%s" % field in str(excinfo.value)
+        assert "'99'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ["active", "recent"])
+    @pytest.mark.parametrize("entry", [["1", 0.0], "1", ["1", "a", 0.1],
+                                       ["1", 0.0, 0.1, 0.2]])
+    def test_malformed_entry_is_a_checkpoint_error(self, field, entry):
+        data = self._checkpoint()
+        data["channel"][field] = [entry]
+        with pytest.raises(CheckpointError) as excinfo:
+            restore(data)
+        assert "channel.%s" % field in str(excinfo.value)
+
+    def test_recent_is_reordered_by_end_time(self):
+        data = self._checkpoint()
+        assert len(data["channel"]["recent"]) >= 2
+        net = restore(data)
+        data["channel"]["recent"].reverse()
+        shuffled = restore(data)
+        ends = [end for _, _, end in shuffled.channel._recent]
+        assert ends == sorted(ends)
+        until = data["time_s"] + 0.01
+        net.run(until=until)
+        shuffled.run(until=until)
+        assert network_digest(shuffled) == network_digest(net)
+
+
 class TestSimulatorSurface:
     def test_network_checkpoint_methods_round_trip(self, tmp_path):
         net = NetworkSimulator()

@@ -22,10 +22,12 @@ from repro.sensors.ports import LedPort
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
                       "obs_budget_digest.json")
 
-#: Inert observability (metrics only, no sinks) may cost at most this
-#: factor over a hookless run; measured ~1.5x, the margin absorbs CI
-#: noise without letting a quadratic regression slip through.
-BUDGET_FACTOR = 5.0
+#: Inert observability (metrics only, no sinks) and the blackbox may
+#: cost at most this factor over a hookless run.  Over 15 repeats on a
+#: 2-vCPU x86-64 VM, inert/bare measured 1.6x median (2.1x max) and
+#: blackbox/bare 2.0x median (2.3x max); the margin absorbs CI noise
+#: while still catching a hook that builds events nobody reads.
+BUDGET_FACTOR = 3.5
 
 BLINK = """
 boot:
@@ -113,6 +115,45 @@ class TestWallTimeBudget:
         assert black <= plain * BUDGET_FACTOR, (
             "blackbox recording cost %.1fx (budget %.1fx): %.4fs vs %.4fs"
             % (black / plain, BUDGET_FACTOR, black, plain))
+
+
+class TestCheapWhenArmed:
+    """Without bus sinks the per-instruction hook builds no event."""
+
+    def test_no_sinks_never_disassembles(self, monkeypatch):
+        from repro.isa.instruction import Instruction
+
+        def refuse(instruction):
+            raise AssertionError("Instruction.text() called with no sinks")
+
+        monkeypatch.setattr(Instruction, "text", refuse)
+        obs = Observability(flight=True)
+        processor = _run(obs=obs)
+        name = processor.name
+        assert obs.metrics.counter(name + ".instructions").value \
+            == processor.meter.instructions > 0
+        assert len(obs.flight.instruction_tail(name)) > 0
+
+    def test_sink_attached_mid_run_starts_the_stream(self):
+        from repro.obs import MemorySink
+
+        obs = Observability(profile=True)
+        processor = SnapProcessor(config=CoreConfig(voltage=0.6))
+        processor.mcp.attach_port(0, LedPort())
+        processor.load(build(BLINK))
+        processor.attach_observability(obs)
+        processor.run(until=0.01)
+        before = processor.meter.instructions
+        attached_at = processor.kernel.now
+        sink = obs.bus.attach(MemorySink())
+        processor.run(until=0.02)
+        retired = [event for event in sink.events
+                   if event.kind == "instruction"]
+        assert len(retired) == processor.meter.instructions - before > 0
+        assert all(event.time >= attached_at for event in retired)
+        assert all(event.mnemonic for event in retired)
+        # The profiler is a sink from the start: it saw every instruction.
+        assert obs.profiler.instructions == processor.meter.instructions
 
 
 class TestBlackboxBitIdentical:
