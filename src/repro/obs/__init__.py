@@ -8,14 +8,18 @@ Cooperating pieces, all opt-in and zero-cost when detached:
 * a **metrics registry** (:mod:`repro.obs.metrics`) of counters, gauges,
   and histograms wired into the core, event queue, coprocessors, radio,
   and channel;
-* a **profiler** (:mod:`repro.obs.profiler`) attributing time and energy
-  per handler and per PC, reconciling against the
-  :class:`~repro.energy.accounting.EnergyMeter`;
-* an **energy ledger** (:mod:`repro.obs.energy`) attributing every
-  picojoule to guest source lines (collapsed-stack / speedscope flame
-  graphs), protocol layers, and individual packet journeys, plus
-  battery-lifetime projection -- every view reconciles against the
-  meter with its residual reported (CLI: ``snap-energy``);
+* a **profiler** (:mod:`repro.obs.profiler`) -- the one per-instruction
+  cost table: one :class:`Cost` row per site ``(node, pc, handler,
+  mnemonic)`` (the mnemonic keeps a self-modified pc's instructions
+  apart), rolled up per handler, PC, class, node, source line, or
+  protocol layer, reconciling against the
+  :class:`~repro.energy.accounting.EnergyMeter` (CLI: ``snap-prof``);
+* an **energy ledger** (:mod:`repro.obs.energy`) reading that table to
+  attribute every picojoule to guest source lines (collapsed-stack /
+  speedscope flame graphs) and protocol layers, and matching handler
+  invocations to individual packet journeys, plus battery-lifetime
+  projection -- every view reconciles against the meter with its
+  residual reported (CLI: ``snap-energy``);
 * a **blackbox** (:mod:`repro.obs.blackbox`) -- a bounded flight
   recorder of recently retired instructions and events -- with a
   **watchdog** (:mod:`repro.obs.watchdog`) re-checking simulator
@@ -26,9 +30,9 @@ Cooperating pieces, all opt-in and zero-cost when detached:
   event-by-event to localize their first divergence -- time window via
   checkpoint bisection, node, handler, symbolicated PC, flight-recorder
   tails -- and comparing intentionally different runs (two voltages, two
-  engines) as per-handler/per-PC/per-flow delta reports
-  (``repro.obs.diff/1``, CLI: ``snap-diff``), on the shared float-free
-  projections of :mod:`repro.obs.project`;
+  engines) as per-handler/per-PC/per-flow delta reports built from one
+  cost table per run (``repro.obs.diff/1``, CLI: ``snap-diff``), on the
+  shared float-free projections of :mod:`repro.obs.project`;
 * a **telemetry exporter** (:mod:`repro.obs.telemetry`) streaming
   batched deltas of all of the above as versioned NDJSON
   (``repro.obs.telemetry/1``) over non-blocking transports
@@ -73,7 +77,6 @@ from repro.obs.diff import (
 )
 from repro.obs.energy import (
     EnergyLedger,
-    LineStat,
     layer_split_from_meter,
     project_lifetime,
 )
@@ -85,7 +88,7 @@ from repro.obs.postmortem import (
     render_markdown,
     write_bundle,
 )
-from repro.obs.profiler import HandlerProfile, PcProfile, Profiler
+from repro.obs.profiler import Cost, Profiler
 from repro.obs.telemetry import TelemetryExporter, TelemetryView
 from repro.obs.timeline import TimelineSampler
 from repro.obs.transports import (
@@ -142,10 +145,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Profiler",
-    "HandlerProfile",
-    "PcProfile",
+    "Cost",
     "EnergyLedger",
-    "LineStat",
     "layer_split_from_meter",
     "project_lifetime",
     "TimelineSampler",

@@ -1,5 +1,6 @@
 """The :class:`Observability` context: one trace bus + one metrics
-registry + an optional profiler, shared by every instrumented component.
+registry + an optional profiler (the one per-instruction cost table),
+shared by every instrumented component.
 
 Components (processor, event queue, coprocessor, radio, channel) keep an
 ``obs`` attribute that defaults to ``None`` and guard each hook call with
@@ -41,8 +42,10 @@ class Observability:
                  flight=False, energy=False):
         self.bus = bus if bus is not None else TraceBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The context's one cost table; the energy ledger reads it too,
+        #: so ``energy=True`` arms it as well.
         self.profiler = None
-        if profile:
+        if profile or energy:
             self.profiler = self.bus.attach(Profiler())
         #: Optional :class:`~repro.obs.energy.EnergyLedger` attributing
         #: every picojoule to source lines, layers, and packets.

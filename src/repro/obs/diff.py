@@ -47,9 +47,11 @@ Runs come from three places (:class:`RunCapture`): live simulators
 (:mod:`repro.tools.snap_diff`) fronts all of this.
 """
 
+import json
 from dataclasses import dataclass, replace
 
-from repro.obs.bus import MemorySink, read_jsonl
+from repro.obs.bus import MemorySink
+from repro.obs.profiler import Profiler
 from repro.obs.project import project_event
 
 SCHEMA = "repro.obs.diff/1"
@@ -132,8 +134,34 @@ def capture_run(sim, horizon, label="run", journeys=True):
 
 
 def load_trace(path, label=None):
-    """Load a recorded JSONL trace stream as a :class:`RunCapture`."""
-    events = read_jsonl(path)
+    """Load a recorded JSONL trace stream as a :class:`RunCapture`.
+
+    A line that is not a JSON object, or an instruction/dispatch record
+    without its required fields, raises :class:`DiffError` naming the
+    file and line.
+    """
+    events = []
+    try:
+        with open(path) as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as error:
+                    raise DiffError("%s:%d: not JSON (%s)"
+                                    % (path, number, error))
+                if not isinstance(record, dict):
+                    raise DiffError("%s:%d: not a JSON object"
+                                    % (path, number))
+                missing = _missing_fields(record)
+                if missing:
+                    raise DiffError("%s:%d: %s record has no %s"
+                                    % (path, number, record["type"],
+                                       ", ".join(missing)))
+                events.append(record)
+    except OSError as error:
+        raise DiffError(str(error))
     time_s = None
     for record in reversed(events):
         if isinstance(record.get("time"), (int, float)):
@@ -501,109 +529,40 @@ class Bisector:
 
 # -- cross-run aggregation ----------------------------------------------------
 
+#: The fields each record type must carry to be folded.
+REQUIRED_FIELDS = {"instruction": ("node", "pc", "handler"),
+                   "dispatch": ("node", "handler")}
 
-def aggregate_handlers(events):
-    """Per ``(node, handler)`` cost from instruction/dispatch records."""
-    table = {}
 
-    def cell(node, handler):
-        key = (node, handler)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"instructions": 0, "energy": 0.0,
-                                  "time": 0.0, "invocations": 0}
-        return entry
+def _missing_fields(record):
+    return [name for name in REQUIRED_FIELDS.get(record.get("type"), ())
+            if name not in record]
 
-    for record in events:
+
+def profile_events(events, label="run"):
+    """Fold instruction and dispatch records into one
+    :class:`~repro.obs.profiler.Profiler`, through the same per-record
+    code the live sink runs.  A record without its required fields
+    raises :class:`DiffError` naming *label* and the record number."""
+    profiler = Profiler()
+    for number, record in enumerate(events, 1):
         kind = record.get("type")
+        if kind not in REQUIRED_FIELDS:
+            continue
+        missing = _missing_fields(record)
+        if missing:
+            raise DiffError("%s: record %d: %s record has no %s"
+                            % (label, number, kind, ", ".join(missing)))
         if kind == "instruction":
-            entry = cell(record["node"], record["handler"])
-            entry["instructions"] += 1
-            entry["energy"] += record.get("energy") or 0.0
-            entry["time"] += record.get("duration") or 0.0
-        elif kind == "dispatch":
-            cell(record["node"], record["handler"])["invocations"] += 1
-    return table
-
-
-def aggregate_pcs(events):
-    """Per ``(node, pc)`` cost from instruction records."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        key = (record["node"], record["pc"])
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0,
-                                  "mnemonic": record.get("mnemonic", "")}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
-
-
-def aggregate_classes(events):
-    """Per ``(node, instruction-class)`` count/energy."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        key = (record["node"], record.get("instr_class") or "?")
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-    return table
-
-
-def aggregate_layers(events, programs=None):
-    """Per ``(node, protocol-layer)`` cost from instruction records.
-
-    Layers come from the netstack layout's maps: the symbolicated
-    function prefix when *programs* carry a line table for the pc,
-    the handler tag's default otherwise.
-    """
-    from repro.netstack.layout import function_layer
-
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        location = _symbolicate(programs or {}, node, record.get("pc"))
-        function = location.get("function") if location else None
-        layer = function_layer(function, record.get("handler"))
-        key = (node, layer)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
-
-
-def aggregate_lines(events, programs=None):
-    """Per ``(node, function, file, line)`` cost from instruction
-    records -- per-PC rows rolled up through the line tables."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        pc = record.get("pc")
-        location = _symbolicate(programs or {}, node, pc) or {}
-        key = (node, location.get("function") or ("0x%04x" % (pc or 0)),
-               location.get("file") or "", location.get("line") or 0)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
+            profiler.add(record["node"], record["pc"], record["handler"],
+                         record.get("mnemonic", ""),
+                         record.get("instr_class") or "?",
+                         record.get("energy") or 0.0,
+                         record.get("duration") or 0.0)
+        else:
+            profiler.dispatch(record["node"], record["handler"],
+                              record.get("latency") or 0.0)
+    return profiler
 
 
 def flows_from_events(events):
@@ -657,21 +616,22 @@ def flows_from_events(events):
 # -- the comparison report ----------------------------------------------------
 
 
-def _delta_rows(table_a, table_b, fields, base_fields=()):
-    """Merge two keyed aggregate tables into delta rows."""
-    rows = []
-    for key in sorted(set(table_a) | set(table_b), key=str):
-        a, b = table_a.get(key), table_b.get(key)
-        row = {"a": a, "b": b}
-        for name in fields:
-            va = (a or {}).get(name) or 0
-            vb = (b or {}).get(name) or 0
-            row["d_" + name] = vb - va
-        for name in base_fields:
-            row[name] = ((a or {}).get(name) if a is not None
-                         else (b or {}).get(name))
-        rows.append((key, row))
-    return rows
+#: The comparison tables, one rollup of each run's cost table apiece:
+#: ``(report table, rollup key, delta fields, carried fields)``.  Every
+#: table but ``nodes`` is ranked by |delta energy|.
+TABLES = (
+    ("nodes", ("node",), ("instructions", "energy", "time"), ()),
+    ("handlers", ("node", "handler"),
+     ("instructions", "energy", "time", "invocations"), ()),
+    ("pcs", ("node", "pc"), ("count", "energy", "time"), ("mnemonic",)),
+    ("classes", ("node", "instr_class"), ("count", "energy"), ()),
+    ("layers", ("node", "layer"), ("count", "energy", "time"), ()),
+    ("lines", ("node", "function", "file", "line"),
+     ("count", "energy", "time"), ()),
+)
+
+#: Tables capped at ``top`` rows -> the report key of their full count.
+CAPPED = {"pcs": "pc_rows_total", "lines": "line_rows_total"}
 
 
 def _journey_diff(events_a, events_b):
@@ -723,22 +683,6 @@ def _metrics_diff(metrics_a, metrics_b):
     return {"added": added, "removed": removed, "changed": changed}
 
 
-def _node_totals(events):
-    totals = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        entry = totals.get(node)
-        if entry is None:
-            entry = totals[node] = {"instructions": 0, "energy": 0.0,
-                                    "time": 0.0}
-        entry["instructions"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return totals
-
-
 def compare(run_a, run_b, mode="full", tail=DEFAULT_TAIL, top=DEFAULT_TOP):
     """The full structured comparison of two :class:`RunCapture` s.
 
@@ -747,82 +691,51 @@ def compare(run_a, run_b, mode="full", tail=DEFAULT_TAIL, top=DEFAULT_TOP):
     per-node totals, journey flow diffs, and metrics-registry diffs.
     """
     divergence = first_divergence(run_a, run_b, mode=mode, tail=tail)
-
-    handlers = []
-    for (node, handler), row in _delta_rows(
-            aggregate_handlers(run_a.events), aggregate_handlers(run_b.events),
-            ("instructions", "energy", "time", "invocations")):
-        row.update(node=node, handler=handler)
-        handlers.append(row)
-    handlers.sort(key=lambda row: -abs(row["d_energy"]))
-
-    programs = dict(run_b.programs or {})
-    programs.update(run_a.programs or {})
-    pcs = []
-    for (node, pc), row in _delta_rows(
-            aggregate_pcs(run_a.events), aggregate_pcs(run_b.events),
-            ("count", "energy", "time"), base_fields=("mnemonic",)):
-        row.update(node=node, pc=pc,
-                   location=_symbolicate(programs, node, pc))
-        pcs.append(row)
-    pcs.sort(key=lambda row: -abs(row["d_energy"]))
-    pc_rows_total = len(pcs)
-    if top:
-        pcs = pcs[:top]
-
-    classes = []
-    for (node, name), row in _delta_rows(
-            aggregate_classes(run_a.events), aggregate_classes(run_b.events),
-            ("count", "energy")):
-        row.update(node=node, instr_class=name)
-        classes.append(row)
-    classes.sort(key=lambda row: -abs(row["d_energy"]))
-
-    layers = []
-    for (node, layer), row in _delta_rows(
-            aggregate_layers(run_a.events, programs),
-            aggregate_layers(run_b.events, programs),
-            ("count", "energy", "time")):
-        row.update(node=node, layer=layer)
-        layers.append(row)
-    layers.sort(key=lambda row: -abs(row["d_energy"]))
-
-    lines = []
-    for (node, function, file, line), row in _delta_rows(
-            aggregate_lines(run_a.events, programs),
-            aggregate_lines(run_b.events, programs),
-            ("count", "energy", "time")):
-        row.update(node=node, function=function, file=file, line=line)
-        lines.append(row)
-    lines.sort(key=lambda row: -abs(row["d_energy"]))
-    line_rows_total = len(lines)
-    if top:
-        lines = lines[:top]
-
-    nodes = []
-    for node, row in _delta_rows(_node_totals(run_a.events),
-                                 _node_totals(run_b.events),
-                                 ("instructions", "energy", "time")):
-        row.update(node=node)
-        nodes.append(row)
-
-    return {
+    report = {
         "schema": SCHEMA,
         "mode": mode,
         "runs": {"a": run_a.describe(), "b": run_b.describe()},
         "identical": divergence is None,
         "divergence": divergence.to_dict() if divergence else None,
-        "nodes": nodes,
-        "handlers": handlers,
-        "pcs": pcs,
-        "pc_rows_total": pc_rows_total,
-        "classes": classes,
-        "layers": layers,
-        "lines": lines,
-        "line_rows_total": line_rows_total,
-        "journeys": _journey_diff(run_a.events, run_b.events),
-        "metrics": _metrics_diff(run_a.metrics, run_b.metrics),
     }
+
+    programs = dict(run_b.programs or {})
+    programs.update(run_a.programs or {})
+
+    def locate(node, pc):
+        location = _symbolicate(programs, node, pc) or {}
+        return (location.get("function") or ("0x%04x" % (pc or 0)),
+                location.get("file") or "", location.get("line") or 0)
+
+    profiles = (profile_events(run_a.events, run_a.label),
+                profile_events(run_b.events, run_b.label))
+    for table, key, fields, carried in TABLES:
+        side_a, side_b = (profile.rollup(key, locate) for profile in profiles)
+        rows = []
+        for group in sorted(set(side_a) | set(side_b), key=str):
+            a, b = (None if cost is None else
+                    {name: getattr(cost, name) for name in fields + carried}
+                    for cost in (side_a.get(group), side_b.get(group)))
+            row = {"a": a, "b": b}
+            for name in fields:
+                row["d_" + name] = (b or {}).get(name, 0) \
+                    - (a or {}).get(name, 0)
+            for name in carried:
+                row[name] = (a if a is not None else b)[name]
+            row.update(zip(key, group))
+            if "pc" in key:
+                row["location"] = _symbolicate(programs, *group)
+            rows.append(row)
+        if table != "nodes":
+            rows.sort(key=lambda row: -abs(row["d_energy"]))
+        if table in CAPPED:
+            report[CAPPED[table]] = len(rows)
+            if top:
+                rows = rows[:top]
+        report[table] = rows
+    report["journeys"] = _journey_diff(run_a.events, run_b.events)
+    report["metrics"] = _metrics_diff(run_a.metrics, run_b.metrics)
+    return report
 
 
 # -- Markdown rendering -------------------------------------------------------
@@ -972,10 +885,11 @@ def _short(value):
 # -- the calibration-perturbation self-test -----------------------------------
 
 #: The self-test guest: boot touches no data memory (register moves and
-#: timer scheduling only), the timer handler is the only code that
-#: loads/stores.  Perturbing the DMEM-access calibration therefore first
-#: shows up at the handler's first ``ld`` -- which is exactly what the
-#: localization must report.
+#: timer scheduling only), and the timer handler holds exactly one data
+#: memory access, its ``st``.  Perturbing the DMEM-access calibration
+#: therefore first shows up at that ``st`` -- which is exactly what the
+#: localization must report -- and moves exactly one source line, the
+#: unambiguous argmax ``snap-energy --self-test`` checks.
 SELFTEST_APP = """
 boot:
     movi r1, 0           ; TIMER0 -> on_tick
@@ -986,7 +900,6 @@ boot:
     schedlo r1, r2
     done
 on_tick:
-    ld r3, 0(r0)
     addi r3, 1
     st r3, 0(r0)
     movi r1, 0
@@ -1030,7 +943,7 @@ def self_test(bisect=False):
     """Perturb the calibration and verify snap-diff localizes it.
 
     Runs the self-test guest against a twin whose DMEM-access energy is
-    scaled, and checks the first divergence lands on an ``ld`` inside
+    scaled, and checks the first divergence lands on the ``st`` inside
     the timer handler with the right symbolicated function.  Returns
     ``(ok, failures, report)``; *failures* lists every check that did
     not hold (empty when *ok*).
@@ -1067,9 +980,9 @@ def self_test(bisect=False):
     if divergence.handler != SELFTEST_HANDLER:
         failures.append("localized handler %r, expected %r"
                         % (divergence.handler, SELFTEST_HANDLER))
-    if not (divergence.mnemonic or "").startswith("ld"):
+    if not (divergence.mnemonic or "").startswith("st"):
         failures.append("localized instruction %r, expected the "
-                        "handler's first ld" % (divergence.mnemonic,))
+                        "handler's st" % (divergence.mnemonic,))
     location = divergence.location or {}
     if location.get("function") != SELFTEST_FUNCTION:
         failures.append("symbolicated function %r, expected %r"

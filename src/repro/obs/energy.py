@@ -1,12 +1,12 @@
 """Causal energy provenance: every picojoule, attributed four ways.
 
-The :class:`EnergyLedger` is a trace-bus sink (the same interface as the
-:class:`~repro.obs.profiler.Profiler`) that turns the per-instruction
-energy stream into four reconciling views:
+The :class:`EnergyLedger` turns the context's one cost table (the
+:class:`~repro.obs.profiler.Profiler`, whose sites are keyed by
+``(node, pc, handler, mnemonic)``) into four reconciling views:
 
-* **source lines** -- per-(node, pc, handler) accumulation symbolicated
-  through ``Program.lookup`` line tables and rolled up into call-free
-  flame graphs (collapsed-stack and speedscope JSON export);
+* **source lines** -- the sites rolled up through ``Program.lookup``
+  line tables into call-free flame graphs (collapsed-stack and
+  speedscope JSON export);
 * **protocol layers** -- app / aggregation / reliable / AODV / MAC /
   radio / idle-sleep, via the netstack layout's handler->layer and
   function-prefix maps;
@@ -16,39 +16,30 @@ energy stream into four reconciling views:
 * **node lifetime** -- linear and drain-curve battery projections over
   :class:`~repro.obs.timeline.TimelineSampler` rows.
 
+The ledger itself is a trace-bus sink only for its handler-invocation
+stack, which packet matching needs; ``Observability(energy=True)`` arms
+the context's profiler alongside it, so one table feeds both
+``snap-prof`` and ``snap-energy``.
+
 Reconciliation contract: every view reports ``attributed_j``, the
 ledger-wide ``total_j`` (sum of every registered meter's total energy
 plus every registered radio's energy), and the ``residual_j`` between
 them -- unattributed energy is surfaced, never silently dropped.
-Because the ledger sums the identical per-instruction floats the meter
-records (in the identical order, through the fast-path burst loop too),
-line counters are bit-identical across engines and residuals stay at
-float-rounding scale.
+Because the profiler sums the identical per-instruction floats the
+meter records (in the identical order, through the fast-path burst
+loop too), site counters are bit-identical across engines and
+residuals stay at float-rounding scale.
 """
 
 import math
-from dataclasses import dataclass
 
-from repro.netstack.layout import LAYERS, function_layer, handler_layer
+from repro.netstack.layout import LAYERS, handler_layer
 
 #: Pseudo-frames for the meter's non-instruction costs.
 _WAKEUP = "[wakeup]"
 _TOKEN = "[event-token]"
 _IDLE = "[idle]"
 _RADIO = "[radio]"
-
-
-@dataclass
-class LineStat:
-    """Accumulated cost of one (node, pc, handler) site."""
-
-    node: str
-    pc: int
-    handler: str
-    count: int = 0
-    energy: float = 0.0
-    time: float = 0.0
-    mnemonic: str = ""
 
 
 class _NodeRecord:
@@ -74,8 +65,6 @@ class EnergyLedger:
     and lifetimes, reconciling each view against the meters."""
 
     def __init__(self, max_invocations=200_000):
-        #: (cpu name, pc, handler tag) -> :class:`LineStat`.
-        self.by_line = {}
         #: cpu name -> list of ``[t0, t_end, handler, energy]`` handler
         #: invocations (``t_end is None`` while open).  Bounded by
         #: *max_invocations* per cpu; overflow energy is accumulated in
@@ -83,14 +72,26 @@ class EnergyLedger:
         self.invocations = {}
         self.overflow_energy = {}
         self.max_invocations = max_invocations
-        #: Total instruction energy seen on the bus.
-        self.energy = 0.0
-        self.instructions = 0
         #: cpu name -> :class:`_NodeRecord`.
         self._records = {}
-        #: The owning :class:`Observability` (set by the context); used
-        #: to reach the journey tracker for the packet view.
+        #: The owning :class:`Observability` (set by the context); its
+        #: profiler holds the cost table and its journey tracker feeds
+        #: the packet view.
         self.obs = None
+
+    @property
+    def profiler(self):
+        """The context's :class:`~repro.obs.profiler.Profiler`."""
+        return self.obs.profiler
+
+    @property
+    def energy(self):
+        """Total instruction energy seen on the bus."""
+        return self.profiler.energy
+
+    @property
+    def instructions(self):
+        return self.profiler.instructions
 
     # -- registration ---------------------------------------------------------
 
@@ -116,17 +117,6 @@ class EnergyLedger:
     def __call__(self, event):
         kind = event.kind
         if kind == "instruction":
-            self.instructions += 1
-            self.energy += event.energy
-            key = (event.node, event.pc, event.handler)
-            stat = self.by_line.get(key)
-            if stat is None:
-                stat = self.by_line[key] = LineStat(
-                    event.node, event.pc, event.handler,
-                    mnemonic=event.mnemonic)
-            stat.count += 1
-            stat.energy += event.energy
-            stat.time += event.duration
             self._charge_invocation(event.node, event.time, event.handler,
                                     event.energy)
         elif kind == "dispatch":
@@ -166,45 +156,43 @@ class EnergyLedger:
         return (loc.function, loc.file or None, loc.line)
 
     def _frames(self):
-        """Roll per-pc stats up into (node, layer, handler, function,
-        file, line) frames, plus meter/radio pseudo-frames."""
-        frames = {}
+        """Roll the profiler's sites up into (node, layer, handler,
+        function, file, line) frames, plus meter/radio pseudo-frames."""
 
-        def add(node, layer, handler, function, file, line, energy, time=0.0,
-                count=0):
-            key = (node, layer, handler, function, file, line)
-            frame = frames.get(key)
-            if frame is None:
-                frame = frames[key] = {
-                    "node": node, "layer": layer, "handler": handler,
+        def locate(cpu, pc):
+            function, file, line = self._symbolicate(
+                self._records.get(cpu), pc)
+            return function or ("0x%04x" % pc), file, line
+
+        def frame(node, layer, handler, function, file, line, energy,
+                  time=0.0, count=0):
+            return {"node": node, "layer": layer, "handler": handler,
                     "function": function, "file": file, "line": line,
-                    "energy_j": 0.0, "time_s": 0.0, "count": 0}
-            frame["energy_j"] += energy
-            frame["time_s"] += time
-            frame["count"] += count
+                    "energy_j": energy, "time_s": time, "count": count}
 
-        for (cpu, pc, handler), stat in self.by_line.items():
+        frames = []
+        for (cpu, layer, handler, function, file, line), cost in \
+                self.profiler.rollup(("node", "layer", "handler", "function",
+                                      "file", "line"), locate).items():
             record = self._records.get(cpu)
-            node = record.name if record is not None else cpu
-            function, file, line = self._symbolicate(record, pc)
-            layer = function_layer(function, handler)
-            add(node, layer, handler,
-                function or ("0x%04x" % pc), file, line,
-                stat.energy, stat.time, stat.count)
+            frames.append(frame(record.name if record is not None else cpu,
+                                layer, handler, function, file, line,
+                                cost.energy, cost.time, cost.count))
         for record in self._records.values():
             meter = record.meter
-            add(record.name, "idle-sleep", "-", _WAKEUP, None, None,
-                meter.wakeup_energy)
-            add(record.name, "idle-sleep", "-", _TOKEN, None, None,
-                meter.event_token_energy)
-            add(record.name, "idle-sleep", "-", _IDLE, None, None,
-                meter.idle_energy)
+            frames.append(frame(record.name, "idle-sleep", "-", _WAKEUP,
+                                None, None, meter.wakeup_energy))
+            frames.append(frame(record.name, "idle-sleep", "-", _TOKEN,
+                                None, None, meter.event_token_energy))
+            frames.append(frame(record.name, "idle-sleep", "-", _IDLE,
+                                None, None, meter.idle_energy))
             if record.radio is not None:
-                add(record.name, "radio", "-", _RADIO, None, None,
-                    record.radio.radio_energy())
-        return [frames[key] for key in sorted(
-            frames, key=lambda k: tuple("" if v is None else str(v)
-                                        for v in k))]
+                frames.append(frame(record.name, "radio", "-", _RADIO,
+                                    None, None, record.radio.radio_energy()))
+        return sorted(frames, key=lambda f: tuple(
+            "" if f[k] is None else str(f[k])
+            for k in ("node", "layer", "handler", "function", "file",
+                      "line")))
 
     # -- reconciliation -------------------------------------------------------
 
@@ -226,17 +214,6 @@ class EnergyLedger:
             "residual_j": residual,
             "residual_frac": abs(residual) / total if total else 0.0,
         }
-
-    def reconcile(self):
-        """Ledger-level reconciliation of the instruction stream against
-        the meters (sans wakeup/token/idle, like the profiler)."""
-        meter_instruction = 0.0
-        for record in self._records.values():
-            meter = record.meter
-            meter_instruction += (meter.total_energy - meter.wakeup_energy
-                                  - meter.event_token_energy
-                                  - meter.idle_energy)
-        return self.energy, meter_instruction
 
     # -- the four views -------------------------------------------------------
 

@@ -1,33 +1,65 @@
-"""Per-handler and per-PC profiling, layered on the trace bus.
+"""The one per-instruction cost table, layered on the trace bus.
 
-The :class:`Profiler` is a trace-bus sink: it consumes
-``InstructionRetired`` and ``HandlerDispatch`` events and accumulates
+The :class:`Profiler` is a trace-bus sink and the only accumulator of
+the retired-instruction stream.  It keeps one :class:`Cost` row per
+*site* -- ``(node, pc, handler, mnemonic)`` -- holding count, energy,
+time and instruction class, and one per ``(node, handler)`` holding
+invocation counts and dispatch latency.  Every other table is a
+:meth:`Profiler.rollup` of those rows: per handler, per PC, per
+instruction class, per node, and -- through a program's line table --
+per source line and per protocol layer.  ``snap-prof`` reads it live,
+the :class:`~repro.obs.energy.EnergyLedger` reads it for its line and
+layer views, and :func:`repro.obs.diff.compare` folds recorded traces
+into one per run.
 
-* per-handler time, energy, instruction count, and invocation count
-  (the software view of the paper's Table 1), and
-* per-PC hot spots (count, time, energy) for finding the expensive
-  instructions inside a handler.
+The mnemonic is part of the site key because guest code can rewrite
+itself: on the ``sti`` scenario one ``(node, pc)`` retires two different
+instructions, and a key without the mnemonic would file the second
+under the first one's instruction class.
 
-Because it sums the same per-instruction energies the
-:class:`~repro.energy.accounting.EnergyMeter` records, its totals
+Because the rows sum the same per-instruction energies the
+:class:`~repro.energy.accounting.EnergyMeter` records, their totals
 reconcile with the meter's instruction energy exactly (the meter's
 *total* additionally includes wakeup, event-token, and idle leakage
 energy, which are not per-instruction costs).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: The fields that say where a :class:`Cost` row was spent.
+WHERE = ("node", "pc", "handler", "mnemonic", "instr_class")
+
+#: Rollup key names derived from a site's source location.
+LOCATION = ("function", "file", "line", "layer")
 
 
 @dataclass
-class HandlerProfile:
-    """Accumulated cost of one handler tag."""
+class Cost:
+    """One row of the cost table: a site, a dispatch target, or a rollup.
 
-    tag: str
-    invocations: int = 0
-    instructions: int = 0
+    A rollup row keeps the :data:`WHERE` fields its key fixes; any other
+    one is kept only when every row it merged agrees, and is ``None``
+    otherwise (a pc whose code was rewritten has no single mnemonic).
+    """
+
+    node: "str | None" = None
+    pc: "int | None" = None
+    handler: "str | None" = None
+    mnemonic: "str | None" = None
+    instr_class: "str | None" = None
+    count: int = 0
     energy: float = 0.0
     time: float = 0.0
+    invocations: int = 0
     dispatch_latency: float = 0.0
+
+    @property
+    def instructions(self):
+        return self.count
+
+    @property
+    def tag(self):
+        return self.handler
 
     @property
     def energy_per_invocation(self):
@@ -35,78 +67,118 @@ class HandlerProfile:
 
     @property
     def instructions_per_invocation(self):
-        return self.instructions / self.invocations if self.invocations else 0.0
-
-
-@dataclass
-class PcProfile:
-    """Accumulated cost of one program-counter location."""
-
-    pc: int
-    count: int = 0
-    energy: float = 0.0
-    time: float = 0.0
-    mnemonic: str = ""
+        return self.count / self.invocations if self.invocations else 0.0
 
 
 class Profiler:
-    """A trace-bus sink that attributes time and energy."""
+    """A trace-bus sink that attributes time and energy per site."""
 
     def __init__(self):
-        self.by_handler = {}
-        self.by_pc = {}
-        self.instructions = 0
-        self.energy = 0.0
-        self.time = 0.0
+        #: (node, pc, handler, mnemonic) -> :class:`Cost`.
+        self.sites = {}
+        #: (node, handler) -> :class:`Cost` carrying invocations.
+        self.dispatches = {}
 
     # -- the sink interface ---------------------------------------------------
 
     def __call__(self, event):
         kind = event.kind
         if kind == "instruction":
-            self._instruction(event)
+            self.add(event.node, event.pc, event.handler, event.mnemonic,
+                     event.instr_class, event.energy, event.duration)
         elif kind == "dispatch":
-            self._dispatch(event)
+            self.dispatch(event.node, event.handler, event.latency)
 
-    def _instruction(self, event):
-        self.instructions += 1
-        self.energy += event.energy
-        self.time += event.duration
+    def add(self, node, pc, handler, mnemonic, instr_class, energy,
+            duration):
+        """Charge one retired instruction to its site."""
+        key = (node, pc, handler, mnemonic)
+        site = self.sites.get(key)
+        if site is None:
+            site = self.sites[key] = Cost(node, pc, handler, mnemonic,
+                                          instr_class)
+        site.count += 1
+        site.energy += energy
+        site.time += duration
 
-        handler = self.by_handler.get(event.handler)
-        if handler is None:
-            handler = self.by_handler[event.handler] = HandlerProfile(
-                event.handler)
-        handler.instructions += 1
-        handler.energy += event.energy
-        handler.time += event.duration
+    def dispatch(self, node, handler, latency):
+        """Count one handler invocation."""
+        key = (node, handler)
+        target = self.dispatches.get(key)
+        if target is None:
+            target = self.dispatches[key] = Cost(node, handler=handler)
+        target.invocations += 1
+        target.dispatch_latency += latency
 
-        spot = self.by_pc.get(event.pc)
-        if spot is None:
-            spot = self.by_pc[event.pc] = PcProfile(
-                event.pc, mnemonic=event.mnemonic)
-        spot.count += 1
-        spot.energy += event.energy
-        spot.time += event.duration
+    # -- totals ---------------------------------------------------------------
 
-    def _dispatch(self, event):
-        handler = self.by_handler.get(event.handler)
-        if handler is None:
-            handler = self.by_handler[event.handler] = HandlerProfile(
-                event.handler)
-        handler.invocations += 1
-        handler.dispatch_latency += event.latency
+    @property
+    def instructions(self):
+        return sum(site.count for site in self.sites.values())
+
+    @property
+    def energy(self):
+        return sum(site.energy for site in self.sites.values())
+
+    @property
+    def time(self):
+        return sum(site.time for site in self.sites.values())
+
+    # -- rollups --------------------------------------------------------------
+
+    def rollup(self, key, locate=None):
+        """Sum the table into one :class:`Cost` row per distinct *key*.
+
+        *key* is a tuple of :data:`WHERE` field names and
+        :data:`LOCATION` names; the latter need *locate*:
+        ``locate(node, pc)`` returns the site's ``(function, file,
+        line)``, and ``layer`` is the netstack layer of that function,
+        else of the handler.
+        Invocation counts join only keys drawn from ``node`` and
+        ``handler``.  Returns ``{key values: Cost}`` in first-seen order.
+        """
+        rows = list(self.sites.values())
+        if set(key) <= {"node", "handler"}:
+            rows.extend(self.dispatches.values())
+        located = any(name in LOCATION for name in key)
+        if located:
+            from repro.netstack.layout import function_layer
+        table = {}
+        for row in rows:
+            where = {name: getattr(row, name) for name in WHERE}
+            if located:
+                function, file, line = locate(row.node, row.pc)
+                where.update(function=function, file=file, line=line,
+                             layer=function_layer(function, row.handler))
+            group = tuple(where[name] for name in key)
+            total = table.get(group)
+            if total is None:
+                total = table[group] = Cost(
+                    **{name: where[name] for name in WHERE})
+            else:
+                for name in WHERE:
+                    if getattr(total, name) != where[name]:
+                        setattr(total, name, None)
+            total.count += row.count
+            total.energy += row.energy
+            total.time += row.time
+            total.invocations += row.invocations
+            total.dispatch_latency += row.dispatch_latency
+        return table
 
     # -- queries --------------------------------------------------------------
 
     def hotspots(self, top=10):
-        """The *top* PCs by energy, hottest first."""
-        spots = sorted(self.by_pc.values(), key=lambda s: -s.energy)
+        """The *top* ``(node, pc)`` rows by energy, hottest first."""
+        spots = sorted(self.rollup(("node", "pc")).values(),
+                       key=lambda s: -s.energy)
         return spots[:top]
 
     def handler_profiles(self):
-        """Handler profiles sorted by total energy, hottest first."""
-        return sorted(self.by_handler.values(), key=lambda h: -h.energy)
+        """``(node, handler)`` rows sorted by total energy, hottest
+        first."""
+        return sorted(self.rollup(("node", "handler")).values(),
+                      key=lambda h: -h.energy)
 
     def reconcile(self, meter):
         """Compare this profile against an :class:`EnergyMeter`.
@@ -135,9 +207,9 @@ class Profiler:
         lines.append("-- handlers (by energy) --")
         for handler in self.handler_profiles():
             lines.append(
-                "  %-12s %6d runs %8d ins %10.3f nJ %10.6f s"
-                % (handler.tag, handler.invocations, handler.instructions,
-                   handler.energy * 1e9, handler.time))
+                "  %-10s %-12s %6d runs %8d ins %10.3f nJ %10.6f s"
+                % (handler.node, handler.tag, handler.invocations,
+                   handler.count, handler.energy * 1e9, handler.time))
         spots = self.hotspots(top)
         if spots:
             lines.append("-- hot PCs (top %d by energy) --" % len(spots))
@@ -148,7 +220,7 @@ class Profiler:
                     if loc.file is not None or loc.function is not None:
                         where = "  %s" % loc
                 lines.append(
-                    "  %04x %-18s %8d hits %10.3f nJ %10.6f s%s"
-                    % (spot.pc, spot.mnemonic, spot.count,
-                       spot.energy * 1e9, spot.time, where))
+                    "  %-10s %04x %-18s %8d hits %10.3f nJ %10.6f s%s"
+                    % (spot.node, spot.pc, spot.mnemonic or "(rewritten)",
+                       spot.count, spot.energy * 1e9, spot.time, where))
         return "\n".join(lines)

@@ -28,7 +28,8 @@ events (exported to Chrome tracing as flow events) and kept in
 Energy attribution is the radio energy of each span: transmit power
 over the serialization window for sends, receive power over the
 listening window for receives and overhears.  CPU energy stays with the
-per-handler profiler, which attributes it exactly.
+profiler's cost table (per ``(node, pc, handler, mnemonic)`` site),
+which attributes it exactly.
 """
 
 from dataclasses import dataclass

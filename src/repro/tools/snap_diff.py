@@ -181,7 +181,7 @@ def _run_self_test(args):
         _emit(args, report)
     if ok:
         print("self-test: PASS -- calibration perturbation localized to "
-              "handler %r at the expected ld"
+              "handler %r at the expected st"
               % report["divergence"]["handler"])
         return 0
     print("self-test: FAIL", file=sys.stderr)

@@ -37,6 +37,11 @@ import math
 import sys
 
 from repro.obs.context import Observability
+from repro.obs.diff import (
+    SELFTEST_FUNCTION,
+    SELFTEST_HANDLER,
+    selftest_builder,
+)
 from repro.obs.energy import project_lifetime
 from repro.obs.timeline import TimelineSampler
 from repro.scenarios import CATALOGUE, resolve, run_to
@@ -136,56 +141,19 @@ def _check_reconciliation(report, tolerance):
 
 # -- the calibration-perturbation self-test -----------------------------------
 
-#: The self-test guest: the timer handler contains exactly ONE
-#: data-memory access (the ``st``), so scaling the DMEM-access
-#: calibration must move exactly one source line -- an unambiguous
-#: argmax for the localization check.
-SELFTEST_APP = """
-boot:
-    movi r1, 0           ; TIMER0 -> on_tick
-    movi r2, on_tick
-    setaddr r1, r2
-    movi r1, 0
-    movi r2, 400
-    schedlo r1, r2
-    done
-on_tick:
-    addi r3, 1
-    st r3, 0(r0)
-    movi r1, 0
-    movi r2, 400
-    schedlo r1, r2
-    done
-"""
-
-SELFTEST_HORIZON = 0.02
-SELFTEST_HANDLER = "TIMER0"
-SELFTEST_FUNCTION = "on_tick"
+#: The self-test runs snap-diff's guest
+#: (:data:`repro.obs.diff.SELFTEST_APP`): its timer handler holds
+#: exactly one data-memory access, the ``st``.
 SELFTEST_LAYER = "app"
 
 
-def _selftest_ledger(factor=1.0):
-    """Run the self-test guest (DMEM calibration scaled by *factor*)
-    under a fresh ledger."""
-    from dataclasses import replace
-
-    from repro.asm import build
-    from repro.core import CoreConfig
-    from repro.energy.calibration import DEFAULT_CALIBRATION
-    from repro.node.node import SensorNode
-
-    calibration = DEFAULT_CALIBRATION
-    if factor != 1.0:
-        calibration = replace(
-            DEFAULT_CALIBRATION,
-            dmem_access_pj=DEFAULT_CALIBRATION.dmem_access_pj * factor)
-    node = SensorNode(node_id=0,
-                      config=CoreConfig(calibration=calibration))
-    node.load(build(SELFTEST_APP))
+def _selftest_ledger(perturb=False, factor=1.5):
+    """Run the self-test guest (DMEM calibration scaled by *factor*
+    when *perturb*) under a fresh ledger."""
+    node, horizon = selftest_builder(perturb=perturb, factor=factor)()
     obs = Observability(energy=True)
     node.attach_observability(obs)
-    node.processor.start()
-    node.kernel.run(until=SELFTEST_HORIZON)
+    node.kernel.run(until=horizon)
     return obs.energy
 
 
@@ -196,15 +164,15 @@ def self_test(factor=1.5):
     Returns ``(ok, failures, details)``.
     """
     baseline = _selftest_ledger()
-    perturbed = _selftest_ledger(factor=factor)
+    perturbed = _selftest_ledger(perturb=True, factor=factor)
 
-    # The expected line: the single st in the perturbed run's ledger.
+    # The expected line: the single st in the perturbed run's sites.
     expected = None
-    for stat in perturbed.by_line.values():
-        if stat.mnemonic.startswith("st ") and stat.handler == \
+    for site in perturbed.profiler.sites.values():
+        if site.mnemonic.startswith("st ") and site.handler == \
                 SELFTEST_HANDLER:
-            record = perturbed._records.get(stat.node)
-            function, file, line = perturbed._symbolicate(record, stat.pc)
+            record = perturbed._records.get(site.node)
+            function, file, line = perturbed._symbolicate(record, site.pc)
             expected = {"function": function, "file": file, "line": line}
     failures = []
     if expected is None:

@@ -107,8 +107,17 @@ def _run(topology, channel_class):
     net.channel.obs = log
     nodes = [net.add_node(node_id, position=(float(x), float(y)))
              for node_id, (x, y) in enumerate(topology["positions"], 1)]
+    # No program runs on the cores, so the harness reads each received
+    # word off the message coprocessor, as a core would; otherwise a
+    # receiver's 16-word outgoing FIFO overflows on a long burst.
+    inboxes = {}
     for node in nodes:
         node.radio.set_receive(True)
+        mcp = node.processor.mcp
+        inbox = inboxes.setdefault(node.node_id, [])
+        mcp.on_outgoing_data.append(
+            lambda fifo=mcp.outgoing, inbox=inbox: inbox.append(
+                (net.kernel.now, fifo.pop())))
     schedule = net.kernel.schedule
     for delay, target, words in topology["bursts"]:
         for word in words:
@@ -125,7 +134,7 @@ def _run(topology, channel_class):
     for delay, comm_range in topology["ranges"]:
         schedule(delay, setattr, net.channel, "comm_range", comm_range)
     net.run(until=0.05)
-    return network_digest(net), log.fates, sensed
+    return network_digest(net), log.fates, sensed, inboxes
 
 
 def _check_against_oracle(topology):

@@ -115,13 +115,12 @@ class TestDeepDiffPaths:
 
 
 class TestLocalization:
-    def test_divergence_is_the_handlers_first_load(self,
-                                                   reference_divergence):
+    def test_divergence_is_the_handlers_store(self, reference_divergence):
         divergence = reference_divergence
         assert divergence.kind == "event"
         assert divergence.record_a["type"] == "instruction"
         assert divergence.handler == "TIMER0"
-        assert divergence.mnemonic.startswith("ld")
+        assert divergence.mnemonic.startswith("st")
         assert divergence.fields == ["energy"]
 
     def test_symbolicated_location(self, reference_divergence):
@@ -436,6 +435,71 @@ class TestSnapDiffCli:
                                "scenario:straightline:ref", "--bisect",
                                "--quiet"])
         assert code == 0
+
+
+# -- malformed traces ---------------------------------------------------------
+
+#: One bad trace line each, with what the error must say about it.
+MALFORMED = [
+    ("not json", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"type": "instruction", "time": 0.1}', "has no node, pc, handler"),
+    ('{"type": "instruction", "node": "n0.cpu", "handler": "H"}',
+     "has no pc"),
+    ('{"type": "instruction", "node": "n0.cpu", "pc": 3}',
+     "has no handler"),
+    ('{"type": "dispatch", "node": "n0.cpu", "event": "TIMER0"}',
+     "has no handler"),
+    ('{"type": "dispatch", "handler": "TIMER0"}', "has no node"),
+]
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("line,message", MALFORMED)
+    def test_load_trace_names_file_and_line(self, tmp_path, line, message):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps(_instr(0, "nop")) + "\n\n" + line + "\n")
+        with pytest.raises(DiffError, match=message) as error:
+            load_trace(path)
+        assert str(error.value).startswith("%s:3: " % path)
+
+    @pytest.mark.parametrize("line,message", MALFORMED)
+    def test_cli_exits_two_without_traceback(self, tmp_path, capsys, line,
+                                             message):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as handle:
+            handle.write(line + "\n")
+        assert snap_diff_main([path, path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("snap-diff: error: %s:1: " % path)
+        assert message in err
+
+    @pytest.mark.parametrize("missing", ["node", "pc", "handler"])
+    def test_fold_names_the_record(self, missing):
+        from repro.obs.diff import RunCapture
+
+        bad = _instr(4, "nop")
+        del bad[missing]
+        run = RunCapture(label="mine", kind="trace",
+                         events=[_instr(0, "nop"), bad])
+        with pytest.raises(DiffError,
+                           match="mine: record 2: instruction record has "
+                                 "no %s" % missing):
+            compare(run, run)
+
+    def test_fold_checks_dispatch_records(self):
+        from repro.obs.diff import RunCapture
+
+        run = RunCapture(label="mine", kind="trace", events=[
+            {"type": "dispatch", "node": "n0.cpu", "time": 0.0}])
+        with pytest.raises(DiffError, match="record 1: dispatch record "
+                                            "has no handler"):
+            compare(run, run)
+
+    def test_missing_trace_file_is_a_diff_error(self, tmp_path):
+        with pytest.raises(DiffError):
+            load_trace(str(tmp_path / "absent.jsonl"))
 
 
 # -- loaders ------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The load-bearing guarantees, in order:
 
-1. **Bit-identical line counters** -- the per-(node, pc, handler)
-   energy accumulation is exactly the same under ``fast_path=True`` and
-   the reference engine, on fig5 blink and on the self-modifying STI
-   scenario (the fast path's burst loop must not reorder or coalesce
-   the per-instruction floats).
+1. **Bit-identical line counters** -- the per-(node, pc, handler,
+   mnemonic) site accumulation is exactly the same under
+   ``fast_path=True`` and the reference engine, on fig5 blink and on
+   the self-modifying STI scenario (the fast path's burst loop must not
+   reorder or coalesce the per-instruction floats).
 2. **Bit-identical meters** -- arming the ledger changes no simulation
    result: meter digests match a bare run exactly.
 3. **Reconciliation** -- every view (lines, layers, packets) attributes
@@ -59,13 +59,13 @@ def test_line_counters_bit_identical_across_engines(name):
     fast, ref = ledgers[True], ledgers[False]
     assert fast.instructions == ref.instructions
     assert fast.energy == ref.energy
-    assert set(fast.by_line) == set(ref.by_line)
-    for key, stat in fast.by_line.items():
-        other = ref.by_line[key]
-        assert stat.count == other.count, key
-        assert stat.energy == other.energy, key   # exact float equality
-        assert stat.time == other.time, key
-        assert stat.mnemonic == other.mnemonic, key
+    assert set(fast.profiler.sites) == set(ref.profiler.sites)
+    for key, site in fast.profiler.sites.items():
+        other = ref.profiler.sites[key]
+        assert site.count == other.count, key
+        assert site.energy == other.energy, key   # exact float equality
+        assert site.time == other.time, key
+        assert site.instr_class == other.instr_class, key
 
 
 # -- 2. arming the ledger is invisible to the simulation ------------------------
