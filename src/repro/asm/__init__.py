@@ -9,6 +9,11 @@ The paper's tool-chain was "a complete custom assembler/linker tool-chain"
 separately assembled modules (e.g. the MAC library and an application) can
 be linked together exactly as the paper's handlers were linked against
 their MAC/routing libraries.
+
+``assemble`` is memoized on ``(source, name)``: a network whose nodes
+all link the same library sources assembles each of them once, and
+every call still returns a module of its own (see
+:func:`repro.asm.assembler.assemble`).
 """
 
 from repro.asm.errors import AsmError, LinkError

@@ -25,6 +25,7 @@ Pseudo-instructions: ``li`` (alias of ``movi``), ``ret`` (``jr lr``),
 ``call`` (``jal``), ``push``/``pop`` (stack via ``sp``), ``inc``/``dec``.
 """
 
+import functools
 import re
 
 from repro.asm.errors import AsmError
@@ -57,8 +58,35 @@ _SHIFT_IMM_OPS = (Opcode.SLL, Opcode.SRL, Opcode.SRA)
 _ONE_REG_OPS = (Opcode.RAND, Opcode.SEED, Opcode.CANCEL, Opcode.JR, Opcode.JALR)
 
 
+#: Most distinct ``(source, name)`` pairs :func:`assemble` keeps; the
+#: least recently used is dropped first.  A network re-assembles a few
+#: dozen library and application sources, so the bound only matters to
+#: fuzzers that generate sources without end.
+MEMO_SIZE = 256
+
+
 def assemble(source, name="module"):
-    """Assemble *source* text into an :class:`ObjectModule`."""
+    """Assemble *source* text into an :class:`ObjectModule`.
+
+    Memoized on ``(source, name)`` (the name is part of the key because
+    it labels errors and the line table): each distinct pair is
+    assembled once per process, then served from a bounded LRU memo of
+    :data:`MEMO_SIZE` entries.  Every call returns a fresh module whose
+    lists and symbol dict are copies of the memoized ones; their items
+    are ints, frozen dataclasses or named tuples, so a caller may mutate
+    its module without touching anyone else's.  A source that fails to
+    assemble is never memoized, so it raises :class:`AsmError` on every
+    call.
+    """
+    module = _assemble_once(source, name)
+    return ObjectModule(name=module.name, text=list(module.text),
+                        data=list(module.data), symbols=dict(module.symbols),
+                        relocations=list(module.relocations),
+                        lines=list(module.lines))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _assemble_once(source, name):
     return _Assembler(source, name).run()
 
 

@@ -6,6 +6,9 @@ IMEM and DMEM are separate 4KB (2048-word) memories (paper, Section 3.1),
 so text and data addresses both start at zero.
 """
 
+import functools
+
+from repro.asm.assembler import MEMO_SIZE
 from repro.asm.errors import LinkError
 from repro.asm.objectfile import (
     RELOC_ABS16,
@@ -79,13 +82,24 @@ def link(modules, imem_words=IMEM_WORDS, dmem_words=DMEM_WORDS):
             # mapping; without this sentinel, ``Program.lookup`` would
             # attribute them to the previous module's last line.
             line_table.append((base, UNMAPPED_FILE, 0))
-        for entry in module.lines:
-            line_table.append((base + entry.offset, entry.file, entry.line))
+        line_table.extend(_placed_lines(tuple(module.lines), base))
     line_table.sort()
 
     func_table = _function_table(modules, text_bases)
     return Program(imem=imem, dmem=dmem, symbols=symbols, entry=0,
                    line_table=line_table, func_table=func_table)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _placed_lines(lines, base):
+    """Line-table rows for a module's *lines* linked at *base*.
+
+    Memoized like :func:`~repro.asm.assembler.assemble`: every node that
+    links the same library at the same address shares one set of row
+    tuples instead of building its own.
+    """
+    return tuple((base + entry.offset, entry.file, entry.line)
+                 for entry in lines)
 
 
 def _function_table(modules, text_bases):

@@ -2,7 +2,7 @@
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 #: Section names.  ``text`` assembles into IMEM, ``data`` into DMEM.
 SECTION_TEXT = "text"
@@ -40,8 +40,7 @@ class Relocation:
     line: int = 0
 
 
-@dataclass(frozen=True)
-class LineEntry:
+class LineEntry(NamedTuple):
     """A source-line annotation for text words at and after *offset*.
 
     The assembler records one entry per source-position change: all text
@@ -49,7 +48,8 @@ class LineEntry:
     (*file*, *line*).  For C-compiled modules the compiler emits
     ``.file``/``.loc`` directives carrying the original C position; for
     hand-written assembly the assembler falls back to the module name
-    and the assembly line itself.
+    and the assembly line itself.  A named tuple, so the linker can key
+    its memo on a module's whole line list cheaply.
     """
 
     offset: int

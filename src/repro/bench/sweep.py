@@ -367,18 +367,6 @@ def strip_volatile(payload):
 # -- built-in scenarios -------------------------------------------------------
 
 
-_PROGRAM_CACHE = {}
-
-
-def _cached_program(name, source):
-    """Assemble *source* once per process (programs are immutable)."""
-    program = _PROGRAM_CACHE.get(name)
-    if program is None:
-        from repro.asm import build
-        program = _PROGRAM_CACHE[name] = build(source)
-    return program
-
-
 def _energy_fields(meters_and_radios):
     """Flat per-layer energy summary fields for one cell result.
 
@@ -410,12 +398,13 @@ def voltage_point(params, seed):
     workload is a fixed counted loop); the per-replica digest is the
     full-precision meter digest.
     """
+    from repro.asm import build
     from repro.bench.ablations import SWEEP_LOOP
     from repro.sim.checkpoint import meter_digest
 
     voltage = params["voltage"]
     processor = SnapProcessor(config=CoreConfig(voltage=voltage))
-    processor.load(_cached_program("sweep_loop", SWEEP_LOOP))
+    processor.load(build(SWEEP_LOOP))
     meter = processor.run()
     epi = meter.energy_per_instruction
     mips = meter.average_mips()

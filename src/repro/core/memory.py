@@ -37,8 +37,11 @@ class MemoryBank:
         if base < 0 or base + len(words) > self.size_words:
             raise MemoryFault("%s: image of %d words does not fit at %d"
                               % (self.name, len(words), base))
-        for index, word in enumerate(words):
-            self._words[base + index] = word & WORD_MASK
+        # In-range words are stored as they are, so nodes loading images
+        # linked from the same memoized modules share the word objects.
+        self._words[base:base + len(words)] = [
+            word if 0 <= word <= WORD_MASK else word & WORD_MASK
+            for word in words]
         if self.write_hook is not None and words:
             self.write_hook(base, len(words))
 

@@ -44,7 +44,7 @@ from repro.core.timing import TimingModel, gate_delays_for
 from repro.energy.accounting import EnergyMeter
 from repro.energy.calibration import DEFAULT_CALIBRATION
 from repro.energy.model import EnergyModel
-from repro.isa.encoding import decode
+from repro.isa.encoding import decode_words
 from repro.isa.events import NUM_EVENTS, Event
 from repro.isa.opcodes import Opcode, spec_for
 from repro.isa.registers import REG_MSG
@@ -416,7 +416,7 @@ class SnapProcessor:
         first = imem.peek(pc)
         opcode_value = first >> 10
         try:
-            spec = spec_for(Opcode(opcode_value))
+            spec = spec_for(opcode_value)
         except ValueError:
             raise SimulationError(
                 "%s: illegal opcode 0x%02x at pc=0x%04x"
@@ -424,7 +424,7 @@ class SnapProcessor:
         words = [first]
         if spec.two_word:
             words.append(imem.peek(pc + 1))
-        instruction, _ = decode(words)
+        instruction = decode_words(*words)
 
         breakdown = self.energy_model.instruction_energy(spec)
         delay_not_taken = self.timing.instruction_delay(spec, taken=False)
@@ -712,12 +712,12 @@ class SnapProcessor:
             if instruction.size == 2:
                 second = self.imem.peek(self.pc + 1)
                 if second != cached[2]:
-                    instruction, _ = decode([first, second])
+                    instruction = decode_words(first, second)
                     self._decode_cache[self.pc] = (first, instruction, second)
             return instruction
         opcode_value = first >> 10
         try:
-            spec = spec_for(Opcode(opcode_value))
+            spec = spec_for(opcode_value)
         except ValueError:
             raise SimulationError(
                 "%s: illegal opcode 0x%02x at pc=0x%04x"
@@ -725,7 +725,7 @@ class SnapProcessor:
         words = [first]
         if spec.two_word:
             words.append(self.imem.peek(self.pc + 1))
-        instruction, _ = decode(words)
+        instruction = decode_words(*words)
         self._decode_cache[self.pc] = (
             first, instruction, words[1] if len(words) > 1 else None)
         return instruction

@@ -224,8 +224,16 @@ _BY_MNEMONIC = {spec.mnemonic: spec for spec in _SPECS.values()}
 
 
 def spec_for(opcode):
-    """Return the :class:`OpcodeSpec` for an :class:`Opcode`."""
-    return _SPECS[Opcode(opcode)]
+    """Return the :class:`OpcodeSpec` for an :class:`Opcode` or its int
+    value; raises ``ValueError`` for an unassigned value.
+
+    ``Opcode`` is an ``IntEnum``, so an int finds its member's spec
+    directly; only a miss pays for the enum conversion that raises.
+    """
+    try:
+        return _SPECS[opcode]
+    except KeyError:
+        return _SPECS[Opcode(opcode)]
 
 
 def spec_for_mnemonic(mnemonic):

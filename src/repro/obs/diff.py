@@ -137,8 +137,9 @@ def load_trace(path, label=None):
     """Load a recorded JSONL trace stream as a :class:`RunCapture`.
 
     A line that is not a JSON object, or an instruction/dispatch record
-    without its required fields, raises :class:`DiffError` naming the
-    file and line.
+    without its required fields or with one of the wrong type (see
+    :data:`REQUIRED_FIELDS`), raises :class:`DiffError` naming the file
+    and line.
     """
     events = []
     try:
@@ -154,11 +155,9 @@ def load_trace(path, label=None):
                 if not isinstance(record, dict):
                     raise DiffError("%s:%d: not a JSON object"
                                     % (path, number))
-                missing = _missing_fields(record)
-                if missing:
-                    raise DiffError("%s:%d: %s record has no %s"
-                                    % (path, number, record["type"],
-                                       ", ".join(missing)))
+                problem = _record_problem(record)
+                if problem:
+                    raise DiffError("%s:%d: %s" % (path, number, problem))
                 events.append(record)
     except OSError as error:
         raise DiffError(str(error))
@@ -529,30 +528,41 @@ class Bisector:
 
 # -- cross-run aggregation ----------------------------------------------------
 
-#: The fields each record type must carry to be folded.
-REQUIRED_FIELDS = {"instruction": ("node", "pc", "handler"),
-                   "dispatch": ("node", "handler")}
+#: The fields each record type must carry to be folded, and their types.
+REQUIRED_FIELDS = {"instruction": (("node", str), ("pc", int),
+                                   ("handler", str)),
+                   "dispatch": (("node", str), ("handler", str))}
 
 
-def _missing_fields(record):
-    return [name for name in REQUIRED_FIELDS.get(record.get("type"), ())
-            if name not in record]
+def _record_problem(record):
+    """Why *record* cannot be folded, or None if it can."""
+    kind = record.get("type")
+    fields = REQUIRED_FIELDS.get(kind, ())
+    missing = [name for name, _ in fields if name not in record]
+    if missing:
+        return "%s record has no %s" % (kind, ", ".join(missing))
+    for name, expected in fields:
+        value = record[name]
+        if not isinstance(value, expected) or isinstance(value, bool):
+            return "%s record field %s must be %s, not %r" % (
+                kind, name, expected.__name__, value)
+    return None
 
 
 def profile_events(events, label="run"):
     """Fold instruction and dispatch records into one
     :class:`~repro.obs.profiler.Profiler`, through the same per-record
-    code the live sink runs.  A record without its required fields
-    raises :class:`DiffError` naming *label* and the record number."""
+    code the live sink runs.  A record without its required fields, or
+    with one of the wrong type, raises :class:`DiffError` naming *label*
+    and the record number."""
     profiler = Profiler()
     for number, record in enumerate(events, 1):
         kind = record.get("type")
         if kind not in REQUIRED_FIELDS:
             continue
-        missing = _missing_fields(record)
-        if missing:
-            raise DiffError("%s: record %d: %s record has no %s"
-                            % (label, number, kind, ", ".join(missing)))
+        problem = _record_problem(record)
+        if problem:
+            raise DiffError("%s: record %d: %s" % (label, number, problem))
         if kind == "instruction":
             profiler.add(record["node"], record["pc"], record["handler"],
                          record.get("mnemonic", ""),

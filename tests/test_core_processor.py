@@ -124,6 +124,14 @@ class TestEventDrivenExecution:
         with pytest.raises(SimulationError, match="event number"):
             proc.run()
 
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_illegal_opcode_faults(self, fast_path):
+        proc = make_processor("movi r1, 1\n.word 0xfc00\n",
+                              fast_path=fast_path)
+        with pytest.raises(SimulationError,
+                           match="illegal opcode 0x3f at pc=0x0002"):
+            proc.run()
+
     def test_instruction_budget(self):
         proc = make_processor(".spin: jmp .spin\n", max_instructions=100)
         with pytest.raises(SimulationError, match="budget"):

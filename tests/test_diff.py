@@ -451,6 +451,18 @@ MALFORMED = [
     ('{"type": "dispatch", "node": "n0.cpu", "event": "TIMER0"}',
      "has no handler"),
     ('{"type": "dispatch", "handler": "TIMER0"}', "has no node"),
+    ('{"type": "instruction", "node": "n1", "pc": "12", '
+     '"handler": "TIMER0"}', "field pc must be int, not '12'"),
+    ('{"type": "instruction", "node": "n1", "pc": true, '
+     '"handler": "TIMER0"}', "field pc must be int, not True"),
+    ('{"type": "instruction", "node": "n1", "pc": 1.5, '
+     '"handler": "TIMER0"}', "field pc must be int, not 1.5"),
+    ('{"type": "instruction", "node": 7, "pc": 12, "handler": "TIMER0"}',
+     "field node must be str, not 7"),
+    ('{"type": "instruction", "node": "n1", "pc": 12, "handler": null}',
+     "field handler must be str, not None"),
+    ('{"type": "dispatch", "node": "n1", "handler": ["TIMER0"]}',
+     "dispatch record field handler must be str"),
 ]
 
 
@@ -495,6 +507,17 @@ class TestMalformedTraces:
             {"type": "dispatch", "node": "n0.cpu", "time": 0.0}])
         with pytest.raises(DiffError, match="record 1: dispatch record "
                                             "has no handler"):
+            compare(run, run)
+
+    def test_fold_checks_field_types(self):
+        from repro.obs.diff import RunCapture
+
+        bad = _instr(4, "nop")
+        bad["pc"] = "4"
+        run = RunCapture(label="mine", kind="trace",
+                         events=[_instr(0, "nop"), bad])
+        with pytest.raises(DiffError, match="mine: record 2: instruction "
+                                            "record field pc must be int"):
             compare(run, run)
 
     def test_missing_trace_file_is_a_diff_error(self, tmp_path):

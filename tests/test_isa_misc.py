@@ -73,6 +73,16 @@ class TestOpcodeMetadata:
             assert isinstance(spec.instr_class, InstrClass)
             assert isinstance(spec.unit, Unit)
 
+    def test_int_and_member_find_the_same_spec(self):
+        for opcode in Opcode:
+            assert spec_for(int(opcode)) is spec_for(opcode)
+
+    @pytest.mark.parametrize(
+        "value", sorted(set(range(64)) - set(Opcode)) + [64, -1])
+    def test_unassigned_opcode_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            spec_for(value)
+
 
 class TestDisassembly:
     def test_instruction_text_round_trips_through_assembler(self):
