@@ -1,5 +1,4 @@
-"""Fleet sweep engine: declarative parameter grids with pooled replicas
-and shared predecode.
+"""Fleet sweep engine: declarative parameter grids with pooled replicas.
 
 Every Section-4 parameter study (voltage sweeps, bit-error-rate grids,
 timer-cadence and topology studies) is embarrassingly parallel: a
@@ -21,10 +20,9 @@ and the engine
   aliases cell ``i+1`` replica ``j-1`` the way ``seed + offset``
   derivations do),
 * fans cells across a ``concurrent.futures`` process pool -- or runs
-  them inline for ``workers=1`` -- with every worker sharing interned
-  predecoded-slot/energy tables across replicas of the same
-  (program, voltage, calibration) via
-  :func:`repro.core.shared_predecode`,
+  them inline for ``workers=1``; within each process, replicas of the
+  same (program, voltage, calibration) share predecoded slots through
+  the core's process-wide slot memo,
 * and aggregates per-cell results: full-precision meter digests, the
   numeric summary fields (mean/min/max across replicas), and wall time.
 
@@ -38,9 +36,12 @@ A scenario is a registered callable ``fn(params, seed) -> dict``; the
 returned dict must be JSON-serializable, deterministic for its inputs,
 and should carry a ``digest`` entry with full-precision simulation state
 (e.g. :func:`repro.sim.checkpoint.meter_digest`).  Register new ones
-with :func:`sweep_scenario`; pooled workers resolve scenarios by name,
-so the defining module must be importable (or already imported, under
-the default ``fork`` start method) in the worker.
+with :func:`sweep_scenario`, declaring every parameter with its default;
+:func:`run_sweep` rejects a grid or fixed name the scenario does not
+declare, or a non-numeric value for a numeric default, before any cell
+runs.  Pooled workers resolve scenarios by name, so the defining module
+must be importable (or already imported, under the default ``fork``
+start method) in the worker.
 """
 
 import concurrent.futures
@@ -51,28 +52,58 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.bench.reporting import _jsonable, dump_results
-from repro.core import CoreConfig, PredecodeCache, SnapProcessor, \
-    shared_predecode
+from repro.core import CoreConfig, SnapProcessor
 
 SCHEMA = "repro.bench.sweep/1"
 
 #: Registered sweep scenarios: name -> ``fn(params, seed) -> dict``.
 SCENARIOS = {}
+#: Declared parameters of each scenario: name -> ``{param: default}``.
+PARAMETERS = {}
 
 
-def sweep_scenario(name):
-    """Decorator registering a sweep scenario under *name*."""
+def sweep_scenario(name, **defaults):
+    """Decorator registering a sweep scenario under *name*.
+
+    *defaults* declares every parameter the scenario reads, with the
+    value a cell gets when neither the grid nor the fixed parameters
+    set it."""
 
     def register(fn):
         SCENARIOS[name] = fn
+        PARAMETERS[name] = defaults
         return fn
 
     return register
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_parameters(sweep):
+    """Raise ``ValueError`` unless every grid and fixed parameter of
+    *sweep* is declared by its scenario, with a number wherever the
+    declared default is one."""
+    defaults = PARAMETERS[sweep.scenario]
+    axes = list(sweep.grid.items())
+    axes += [(name, [value]) for name, value in sweep.fixed.items()]
+    for name, values in axes:
+        if name not in defaults:
+            raise ValueError(
+                "scenario %r has no parameter %r (have: %s)"
+                % (sweep.scenario, name, ", ".join(sorted(defaults))))
+        if _is_number(defaults[name]):
+            for value in values:
+                if not _is_number(value):
+                    raise ValueError("parameter %r of scenario %r must be "
+                                     "a number, not %r"
+                                     % (name, sweep.scenario, value))
 
 
 @dataclass
@@ -153,19 +184,20 @@ def _aggregate(replicas):
 def run_cell(task):
     """Run one cell's replicas; returns the cell result dict.
 
-    Scenario exceptions are folded into an ``ok: False`` cell (the
-    sweep reports failures per-cell instead of losing the grid);
-    ``KeyboardInterrupt`` propagates so the caller can stop the sweep.
-    A shared-predecode cache should already be ambient -- the pooled
-    and serial paths both install one, which is what lets replicas of
-    the same (program, voltage, calibration) skip re-decoding.
+    The scenario sees its declared defaults overlaid with the cell's
+    parameters.  Scenario exceptions are folded into an ``ok: False``
+    cell (the sweep reports failures per-cell instead of losing the
+    grid); ``KeyboardInterrupt`` propagates so the caller can stop the
+    sweep.
     """
     scenario = SCENARIOS[task["scenario"]]
+    defaults = PARAMETERS[task["scenario"]]
     started = time.perf_counter()
     cell = {"index": task["index"], "params": dict(task["params"]),
             "seeds": list(task["seeds"])}
     try:
-        replicas = [_jsonable(scenario(dict(task["params"]), seed))
+        replicas = [_jsonable(scenario(dict(defaults, **task["params"]),
+                                       seed))
                     for seed in task["seeds"]]
     except KeyboardInterrupt:
         raise
@@ -177,19 +209,6 @@ def run_cell(task):
                 aggregates=_aggregate(replicas),
                 wall_time_s=time.perf_counter() - started)
     return cell
-
-
-#: One predecode cache per worker process, shared by every cell the
-#: worker runs -- replicas AND same-program cells reuse decode work.
-_WORKER_CACHE = None
-
-
-def _pooled_cell(task):
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = PredecodeCache()
-    with shared_predecode(_WORKER_CACHE):
-        return run_cell(task)
 
 
 def _interrupted_cell(task):
@@ -205,9 +224,6 @@ class SweepResult:
     cells: List[dict]
     wall_time_s: float
     interrupted: bool = False
-    #: Predecode-cache statistics of the serial path (per-worker caches
-    #: cannot be harvested across the pool; ``None`` for pooled runs).
-    predecode: Optional[dict] = None
 
     @property
     def ok_cells(self):
@@ -245,7 +261,6 @@ class SweepResult:
             "cells_ok": len(self.ok_cells),
             "cells_failed": len(self.failed_cells),
             "wall_time_s": self.wall_time_s,
-            "predecode": self.predecode,
             "cells": cells,
         }
 
@@ -258,10 +273,10 @@ class SweepResult:
 def run_sweep(sweep, workers=None, progress=None):
     """Run every cell of *sweep*; returns a :class:`SweepResult`.
 
-    ``workers=None``/``0``/``1`` runs serially in-process (one shared
-    predecode cache across all cells); ``workers > 1`` fans cells over a
-    process pool, one task per cell, with a per-worker shared cache.
-    Results are bit-identical either way.
+    ``workers=None``/``0``/``1`` runs serially in-process;
+    ``workers > 1`` fans cells over a process pool, one task per cell.
+    Results are bit-identical either way.  Grid and fixed parameters are
+    checked with :func:`check_parameters` before any cell runs.
 
     A ``KeyboardInterrupt`` stops the sweep but keeps every completed
     cell: the remaining cells are marked ``error: "interrupted"`` and
@@ -272,6 +287,7 @@ def run_sweep(sweep, workers=None, progress=None):
     if sweep.scenario not in SCENARIOS:
         raise ValueError("unknown sweep scenario %r (have: %s)"
                          % (sweep.scenario, ", ".join(sorted(SCENARIOS))))
+    check_parameters(sweep)
     tasks = sweep.tasks()
     started = time.perf_counter()
     if not workers or workers <= 1:
@@ -283,7 +299,7 @@ def run_sweep(sweep, workers=None, progress=None):
     cells, interrupted = [None] * len(tasks), False
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers) as pool:
-        futures = [pool.submit(_pooled_cell, task) for task in tasks]
+        futures = [pool.submit(run_cell, task) for task in tasks]
         for task, future in zip(tasks, futures):
             if interrupted:
                 future.cancel()
@@ -313,23 +329,20 @@ def run_sweep(sweep, workers=None, progress=None):
 
 def _run_serial(tasks, progress):
     cells, interrupted = [], False
-    with shared_predecode() as cache:
-        for task in tasks:
-            if interrupted:
-                cells.append(_interrupted_cell(task))
-                continue
-            try:
-                cell = run_cell(task)
-            except KeyboardInterrupt:
-                interrupted = True
-                cell = _interrupted_cell(task)
-            cells.append(cell)
-            if progress is not None and not interrupted:
-                progress(cell)
+    for task in tasks:
+        if interrupted:
+            cells.append(_interrupted_cell(task))
+            continue
+        try:
+            cell = run_cell(task)
+        except KeyboardInterrupt:
+            interrupted = True
+            cell = _interrupted_cell(task)
+        cells.append(cell)
+        if progress is not None and not interrupted:
+            progress(cell)
     return SweepResult(sweep=None, workers=1, cells=cells, wall_time_s=0.0,
-                       interrupted=interrupted,
-                       predecode={"tables": len(cache), "hits": cache.hits,
-                                  "misses": cache.misses})
+                       interrupted=interrupted)
 
 
 def diverging_cells(a, b):
@@ -351,7 +364,7 @@ def diverging_cells(a, b):
 
 #: Keys whose values are host-dependent, stripped before comparing two
 #: aggregated payloads for equality (``modulo host wall-time fields``).
-VOLATILE_KEYS = ("wall_time_s", "workers", "predecode", "host")
+VOLATILE_KEYS = ("wall_time_s", "workers", "host")
 
 
 def strip_volatile(payload):
@@ -390,11 +403,11 @@ def _energy_fields(meters_and_radios):
     return fields
 
 
-@sweep_scenario("voltage_point")
+@sweep_scenario("voltage_point", voltage=0.6)
 def voltage_point(params, seed):
     """One operating point of the Section 6 voltage/energy curve.
 
-    Grid parameters: ``voltage``.  Replicas are bit-identical (the
+    Parameters: ``voltage`` (default 0.6).  Replicas are bit-identical (the
     workload is a fixed counted loop); the per-replica digest is the
     full-precision meter digest.
     """
@@ -416,13 +429,13 @@ def voltage_point(params, seed):
     return result
 
 
-@sweep_scenario("handler_suite")
+@sweep_scenario("handler_suite", voltage=0.6)
 def handler_suite(params, seed):
     """The six-scenario handler suite at one voltage -- run exactly once
     per cell, with throughput and the results summary reduced from the
     same rows (the satellite fix to ``throughput_and_wakeup``).
 
-    Grid parameters: ``voltage``.
+    Parameters: ``voltage`` (default 0.6).
     """
     from repro.bench.harness import (
         handler_table,
@@ -450,22 +463,23 @@ def handler_suite(params, seed):
     }
 
 
-@sweep_scenario("chain_ber")
+@sweep_scenario("chain_ber", voltage=0.6, bit_error_rate=0.0, packets=3,
+                hops=2)
 def chain_ber(params, seed):
     """Multi-hop DATA delivery over a noisy channel: the BER grid.
 
-    Grid parameters: ``voltage``, ``bit_error_rate``; fixed parameters
-    ``packets`` (default 3) and ``hops`` (default 2 relays).  The
+    Parameters: ``voltage`` (default 0.6), ``bit_error_rate`` (0.0),
+    ``packets`` (3) and ``hops`` (2 relays).  The
     channel noise RNG is seeded per replica, so replicas sample
     independent noise while staying exactly reproducible.
     """
     from repro.scenarios import build_chain, send
     from repro.sim.checkpoint import network_digest
 
-    voltage = params.get("voltage", 0.6)
-    bit_error_rate = params.get("bit_error_rate", 0.0)
-    packets = int(params.get("packets", 3))
-    relays = int(params.get("hops", 2))
+    voltage = params["voltage"]
+    bit_error_rate = params["bit_error_rate"]
+    packets = int(params["packets"])
+    relays = int(params["hops"])
 
     net, app_dest = build_chain(nodes=relays + 1,
                                 bit_error_rate=bit_error_rate,

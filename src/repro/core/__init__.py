@@ -20,12 +20,7 @@ from repro.core.memory import MemoryBank
 from repro.core.lfsr import Lfsr16
 from repro.core.regfile import RegisterFile
 from repro.core.timing import TimingModel
-from repro.core.processor import (
-    CoreConfig,
-    PredecodeCache,
-    SnapProcessor,
-    shared_predecode,
-)
+from repro.core.processor import CoreConfig, SnapProcessor
 
 __all__ = [
     "Kernel",
@@ -40,7 +35,5 @@ __all__ = [
     "RegisterFile",
     "TimingModel",
     "CoreConfig",
-    "PredecodeCache",
     "SnapProcessor",
-    "shared_predecode",
 ]

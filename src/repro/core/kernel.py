@@ -187,18 +187,3 @@ class Kernel:
         heapq.heapify(self._queue)
         self._next_handle = next_handle
         self._version += 1
-
-    def advance(self, time):
-        """Move the clock forward without running events.
-
-        Used by batching components (the processor's instruction-burst
-        loop) that account for intermediate work themselves; *time* must
-        not exceed the next pending event's time.
-        """
-        if time < self._now:
-            raise ValueError("cannot advance backwards (%r < %r)"
-                             % (time, self._now))
-        self._now = time
-
-    # Backwards-compatible alias (pre-burst internal name).
-    _peek_time = next_time

@@ -25,7 +25,6 @@ See DESIGN.md ("The fast-path execution engine") for the burst/yield
 rule and the bit-identity argument.
 """
 
-import contextlib
 import dataclasses
 import enum
 from dataclasses import dataclass
@@ -94,15 +93,24 @@ class CoreConfig:
     fast_path: bool = True
 
 
+#: Bound on the process-wide predecode slot memo, in slots.  A
+#: convergecast-32 network uses 237; the bound leaves room for a sweep
+#: over several operating points without letting a fuzzer grow the memo
+#: without limit.  When full, the oldest slot is evicted.
+SLOT_MEMO_SIZE = 4096
+
+#: ``(first word[, second word], operating-point key)`` -> slot tuple,
+#: shared by every fast-path core in the process.
+_SLOT_MEMO = {}
+
+
 def _calibration_key(calibration):
-    """A hashable identity for a calibration object.
+    """A hashable value for a calibration dataclass.
 
     ``Calibration`` is a frozen dataclass whose ``unit_pj`` dict defeats
-    its own ``__hash__``; fold the fields into tuples instead.  Objects
-    that are not dataclasses fall back to instance identity, which only
-    under-shares (never mis-shares)."""
-    if not dataclasses.is_dataclass(calibration):
-        return id(calibration)
+    its own ``__hash__``; fold the fields into tuples instead.  The key
+    is a value, never an identity: the slot memo outlives any one
+    calibration object."""
     fields = []
     for field in dataclasses.fields(calibration):
         value = getattr(calibration, field.name)
@@ -112,84 +120,6 @@ def _calibration_key(calibration):
                 for key, item in value.items()))
         fields.append((field.name, value))
     return tuple(fields)
-
-
-class PredecodeCache:
-    """Shares predecoded-slot tables across cores running the same
-    (IMEM image, voltage, calibration).
-
-    A slot is a pure function of the instruction word(s), the supply
-    voltage (delay tables), and the energy calibration (interned
-    :class:`EnergyBreakdown`), so every replica of a parameter-sweep
-    cell that loads the same program at the same operating point can
-    reuse the decode work of the first one.  Sharing is bit-transparent:
-    the shared slots are the exact tuples :meth:`SnapProcessor._predecode`
-    would have built.
-
-    Each processor leases a *copy* of the master list at :meth:`load`
-    time and contributes newly decoded slots back -- until its IMEM is
-    written (self-modifying code, pokes, checkpoint restore), at which
-    point it detaches and its divergent slots stay private.
-    """
-
-    def __init__(self):
-        self._masters = {}
-        #: Lease statistics: ``hits`` counts leases that found a master
-        #: table (warm start), ``misses`` leases that created one.
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self):
-        return len(self._masters)
-
-    def lease(self, key, imem_words):
-        """The master slot table for *key*, creating it when new."""
-        master = self._masters.get(key)
-        if master is None:
-            master = [None] * imem_words
-            self._masters[key] = master
-            self.misses += 1
-        else:
-            self.hits += 1
-        return master
-
-    @staticmethod
-    def key_for(image, config):
-        """Cache key for a program image under a core configuration."""
-        return (config.imem_words, config.voltage,
-                _calibration_key(config.calibration), tuple(image))
-
-
-#: Process-wide ambient cache consulted by :meth:`SnapProcessor.load`;
-#: installed by :func:`shared_predecode`, ``None`` (sharing off) outside.
-_SHARED_PREDECODE = None
-
-
-@contextlib.contextmanager
-def shared_predecode(cache=None):
-    """Share predecode tables between every core loaded in this block.
-
-    ::
-
-        with shared_predecode() as cache:
-            for replica in range(n):
-                run_cell(...)   # same program+voltage -> one decode pass
-
-    Nests safely (the previous cache is restored on exit) and is
-    bit-transparent: simulations produce identical meters, traces, and
-    digests with or without it.  Pass an existing :class:`PredecodeCache`
-    to keep tables warm across several blocks (the sweep engine keeps
-    one per worker process).
-    """
-    global _SHARED_PREDECODE
-    previous = _SHARED_PREDECODE
-    if cache is None:
-        cache = PredecodeCache()
-    _SHARED_PREDECODE = cache
-    try:
-        yield cache
-    finally:
-        _SHARED_PREDECODE = previous
 
 
 class SnapProcessor:
@@ -247,13 +177,13 @@ class SnapProcessor:
         #: Predecoded IMEM: one slot per word, built lazily by
         #: :meth:`_predecode` and invalidated by the IMEM write hook.
         self._predec = None
-        #: Master table of an ambient :class:`PredecodeCache` this core
-        #: contributes decoded slots to; detached (set to ``None``) on
-        #: the first IMEM write after load.
-        self._predec_master = None
         if self._fast_path:
             self._predec = [None] * self.config.imem_words
             self.imem.write_hook = self._invalidate_predecode
+            #: The operating point a slot's delays and energies depend
+            #: on; part of every slot-memo key.
+            self._op_key = (self.config.voltage,
+                            _calibration_key(self.config.calibration))
         #: Fast-path burst statistics (host-side, no simulation effect):
         #: number of burst entries and instructions retired inside bursts.
         self.bursts = 0
@@ -297,16 +227,6 @@ class SnapProcessor:
         self.dmem.load_image(program.dmem)
         self.pc = program.entry
         self.program = program
-        if self._fast_path and _SHARED_PREDECODE is not None:
-            # Warm-start from the ambient cache: lease the master table
-            # for this (image, operating point), take a private copy of
-            # whatever slots are already decoded, and contribute new ones
-            # back until the first IMEM write detaches us.  (load_image
-            # above already fired the write hook, so attach afterwards.)
-            key = PredecodeCache.key_for(program.imem, self.config)
-            master = _SHARED_PREDECODE.lease(key, self.config.imem_words)
-            self._predec = list(master)
-            self._predec_master = master
         if self.obs is not None:
             self._report_program(program)
 
@@ -401,16 +321,16 @@ class SnapProcessor:
             upper = len(predec)
         for index in range(lower, upper):
             predec[index] = None
-        # The IMEM no longer matches the loaded image: stop contributing
-        # slots to the shared master table (self-modified code must never
-        # pollute other leases of the same program).
-        self._predec_master = None
 
     def _predecode(self, pc):
-        """Decode the instruction at *pc* into an executor-bound slot.
+        """The executor-bound slot for the instruction at *pc*.
 
-        Charges nothing: IMEM read accounting happens when a dynamic
-        instruction actually proceeds past its stall check.
+        A slot depends only on its instruction word(s) and the core's
+        operating point, so every fast-path core in the process shares
+        one slot per ``(words, operating point)`` through the slot memo;
+        self-modified words simply map to a different key.  Charges
+        nothing: IMEM read accounting happens when a dynamic instruction
+        actually proceeds past its stall check.
         """
         imem = self.imem
         first = imem.peek(pc)
@@ -421,12 +341,24 @@ class SnapProcessor:
             raise SimulationError(
                 "%s: illegal opcode 0x%02x at pc=0x%04x"
                 % (self.name, opcode_value, pc)) from None
-        words = [first]
         if spec.two_word:
-            words.append(imem.peek(pc + 1))
-        instruction = decode_words(*words)
+            words = (first, imem.peek(pc + 1))
+        else:
+            words = (first,)
+        key = words + (self._op_key,)
+        slot = _SLOT_MEMO.get(key)
+        if slot is None:
+            slot = self._build_slot(spec, words)
+            if len(_SLOT_MEMO) >= SLOT_MEMO_SIZE:
+                del _SLOT_MEMO[next(iter(_SLOT_MEMO))]
+            _SLOT_MEMO[key] = slot
+        self._predec[pc] = slot
+        return slot
 
-        breakdown = self.energy_model.instruction_energy(spec)
+    def _build_slot(self, spec, words):
+        """Decode *words* (an instance of *spec*) into a slot tuple."""
+        instruction = decode_words(*words)
+        breakdown = self.energy_model.compute_instruction_energy(spec)
         delay_not_taken = self.timing.instruction_delay(spec, taken=False)
         delay_taken = self.timing.instruction_delay(spec, taken=True)
         r15_reads = 0
@@ -444,16 +376,12 @@ class SnapProcessor:
         meter_safe = (r15_reads == 0
                       and not (spec.writes_rd and instruction.rd == REG_MSG)
                       and spec.opcode is not Opcode.CANCEL)
-        slot = (instruction, EXECUTORS[instruction.opcode], instruction.size,
+        return (instruction, EXECUTORS[instruction.opcode], instruction.size,
                 spec.instr_class, delay_not_taken, delay_taken,
                 breakdown.total, breakdown.imem, breakdown.dmem,
                 breakdown.datapath, breakdown.fetch, breakdown.decode,
                 breakdown.mem_if, breakdown.misc, breakdown,
                 r15_reads, meter_safe)
-        self._predec[pc] = slot
-        if self._predec_master is not None:
-            self._predec_master[pc] = slot
-        return slot
 
     def _raise_budget_exceeded(self):
         raise SimulationError(

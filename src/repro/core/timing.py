@@ -111,11 +111,6 @@ class TimingModel:
     def __init__(self, voltage=0.6):
         self.voltage = voltage
         self._gate_delay = gate_delay_at(voltage)
-        #: (opcode, taken) -> seconds; a dynamic instruction's latency
-        #: depends only on its spec and the taken bit, so each pair is
-        #: computed once per voltage.  The memoised value comes from the
-        #: identical multiplication, so interning is bit-transparent.
-        self._delay_table = {}
 
     @property
     def gate_delay(self):
@@ -123,13 +118,8 @@ class TimingModel:
         return self._gate_delay
 
     def instruction_delay(self, spec, taken=False):
-        """Latency of one instruction, in seconds (interned per spec)."""
-        key = (spec.opcode, taken)
-        delay = self._delay_table.get(key)
-        if delay is None:
-            delay = gate_delays_for(spec, taken=taken) * self._gate_delay
-            self._delay_table[key] = delay
-        return delay
+        """Latency of one instruction, in seconds."""
+        return gate_delays_for(spec, taken=taken) * self._gate_delay
 
     def delay_for_opcode(self, opcode, taken=False):
         return self.instruction_delay(spec_for(opcode), taken=taken)

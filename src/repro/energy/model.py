@@ -65,23 +65,6 @@ class EnergyModel:
         #: state, nonzero supports the paper's future-work leakage study.
         self.leakage_power = leakage_power
         self._scale = voltage_scale(voltage) * 1e-12  # pJ -> J at voltage
-        #: opcode -> interned :class:`EnergyBreakdown`.  The breakdown of
-        #: a spec is a pure function of (voltage, calibration), both fixed
-        #: per model instance, and the dataclass is frozen -- so one
-        #: instance per opcode can be shared by every dynamic instruction.
-        self._breakdown_table = {}
-
-    def instruction_energy(self, spec):
-        """The :class:`EnergyBreakdown` for one instance of *spec*.
-
-        Returns an interned (shared, frozen) breakdown; use
-        :meth:`compute_instruction_energy` to force a fresh computation.
-        """
-        breakdown = self._breakdown_table.get(spec.opcode)
-        if breakdown is None:
-            breakdown = self.compute_instruction_energy(spec)
-            self._breakdown_table[spec.opcode] = breakdown
-        return breakdown
 
     def compute_instruction_energy(self, spec):
         """Compute the :class:`EnergyBreakdown` for *spec* from scratch."""

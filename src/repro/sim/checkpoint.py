@@ -104,6 +104,16 @@ class CheckpointVersionError(CheckpointError):
             % (found, SCHEMA))
 
 
+#: Top-level keys of every checkpoint: key -> (JSON types, description).
+#: Network checkpoints also carry a ``channel`` object.
+_TOP_LEVEL = {
+    "kind": (str, "a string"),
+    "time_s": ((int, float), "a number"),
+    "kernel": (dict, "an object"),
+    "nodes": (list, "a list"),
+}
+
+
 class Checkpoint:
     """A captured simulation state: a JSON-able dict plus conveniences."""
 
@@ -141,8 +151,25 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint file; a file whose top level lacks a key
+        :func:`restore` reads, or holds it with the wrong JSON type,
+        raises :class:`CheckpointError` naming the file and the key."""
         with open(path) as handle:
-            return cls.from_json(handle.read())
+            checkpoint = cls.from_json(handle.read())
+        data = checkpoint.data
+        required = dict(_TOP_LEVEL)
+        if data.get("kind") == "network":
+            required["channel"] = (dict, "an object")
+        for key, (types, described) in required.items():
+            if key not in data:
+                raise CheckpointError("%s: checkpoint has no %r key"
+                                      % (path, key))
+            value = data[key]
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise CheckpointError(
+                    "%s: checkpoint key %r must be %s, not %s"
+                    % (path, key, described, type(value).__name__))
+        return checkpoint
 
     def restore(self):
         """Rebuild a fresh simulator; see :func:`restore`."""

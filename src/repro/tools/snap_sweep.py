@@ -3,7 +3,9 @@
 Declare the grid on the command line -- one ``--grid name=v1,v2,...``
 per swept parameter -- and the :mod:`repro.bench.sweep` engine expands
 the cartesian product, fans the cells over a process pool (``--workers``)
-with shared predecode tables, and prints the per-cell table.  With
+and prints the per-cell table.  A ``--grid`` or ``--fixed`` name the
+scenario does not declare, or a non-numeric value for a numeric
+parameter, is a usage error reported before any cell runs.  With
 ``--serial-check`` the same grid is re-run serially and the per-cell
 meter digests are asserted bit-identical to the pooled run -- the
 PR 4/6 differential pattern, wired into CI.
@@ -37,6 +39,7 @@ from repro.bench.sweep import (
     SCENARIOS,
     Sweep,
     cell_label,
+    check_parameters,
     diverging_cells,
     run_sweep,
 )
@@ -89,13 +92,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="snap-sweep",
         description="declarative parameter-grid sweeps with pooled "
-                    "replicas and shared predecode")
+                    "replicas")
     parser.add_argument("scenario", nargs="?",
                         help="registered sweep scenario (see --list)")
     parser.add_argument("--list", action="store_true",
                         help="list registered scenarios and exit")
     parser.add_argument("--grid", action="append", metavar="NAME=V1,V2,...",
-                        help="one swept parameter (repeatable)")
+                        help="one swept parameter the scenario declares "
+                             "(repeatable)")
     parser.add_argument("--fixed", action="append", metavar="NAME=VALUE",
                         help="one fixed parameter for every cell "
                              "(repeatable)")
@@ -139,6 +143,10 @@ def main(argv=None):
     sweep = Sweep(scenario=args.scenario, grid=grid,
                   replicas=args.replicas, base_seed=args.base_seed,
                   fixed=fixed)
+    try:
+        check_parameters(sweep)
+    except ValueError as error:
+        parser.error(str(error))
     result = run_sweep(sweep, workers=args.workers,
                        progress=lambda cell: print(
                            "  cell %d %s: %s" % (

@@ -308,6 +308,56 @@ class TestSchemaVersioning:
         assert data == golden
 
 
+def _shape(kind="node"):
+    data = {"schema": SCHEMA, "kind": kind, "time_s": 0.0, "kernel": {},
+            "nodes": []}
+    if kind == "network":
+        data["channel"] = {}
+    return data
+
+
+class TestMalformedCheckpointFile:
+    """``Checkpoint.load`` checks the top level before anything reads
+    it: a missing or wrong-typed key is a :class:`CheckpointError` that
+    names the file and the key, never a raw ``KeyError``."""
+
+    @pytest.mark.parametrize("kind,key", [
+        ("node", "kind"), ("node", "time_s"), ("node", "kernel"),
+        ("node", "nodes"), ("network", "channel")])
+    def test_missing_key(self, tmp_path, kind, key):
+        data = _shape(kind)
+        del data[key]
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(str(path))
+        assert str(path) in str(excinfo.value)
+        assert "no %r key" % key in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("node", "kind", 1), ("node", "time_s", "0.0"),
+        ("node", "time_s", True), ("node", "kernel", []),
+        ("node", "nodes", {}), ("network", "channel", None)])
+    def test_wrong_type(self, tmp_path, kind, key, value):
+        data = _shape(kind)
+        data[key] = value
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError) as excinfo:
+            Checkpoint.load(str(path))
+        assert str(path) in str(excinfo.value)
+        assert "key %r must be" % key in str(excinfo.value)
+
+    def test_snap_run_resume_reports_the_missing_key(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"schema": SCHEMA}))
+        assert snap_run_main(["--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("snap-run: %s" % path)
+        assert "'kind'" in err and "Traceback" not in err
+
+
 # -- capture policy and error paths -------------------------------------------
 
 

@@ -192,13 +192,6 @@ class TestKernel:
         kernel.run(until=5.0)
         assert kernel.now == 5.0
 
-    def test_advance_rejects_backwards_time(self):
-        kernel = Kernel()
-        kernel.advance(1.0)
-        assert kernel.now == 1.0
-        with pytest.raises(ValueError):
-            kernel.advance(0.5)
-
 
 class TestMemoryBank:
     def test_read_write(self):

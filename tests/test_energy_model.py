@@ -8,7 +8,7 @@ from repro.isa.opcodes import InstrClass, Opcode, spec_for
 
 def _epi_pj(voltage, opcode):
     model = EnergyModel(voltage=voltage)
-    return model.instruction_energy(spec_for(opcode)).total * 1e12
+    return model.compute_instruction_energy(spec_for(opcode)).total * 1e12
 
 
 class TestVoltageScale:
@@ -59,7 +59,7 @@ class TestEnergyTiers:
     def test_memory_about_half_of_load_energy(self):
         """Section 4.4: about half the per-instruction energy is memory."""
         model = EnergyModel(voltage=1.8)
-        breakdown = model.instruction_energy(spec_for(Opcode.LD))
+        breakdown = model.compute_instruction_energy(spec_for(Opcode.LD))
         fraction = breakdown.memory / breakdown.total
         assert 0.45 <= fraction <= 0.75
 
@@ -72,15 +72,15 @@ class TestBreakdown:
     def test_components_sum_to_total(self):
         model = EnergyModel(voltage=0.9)
         for opcode in (Opcode.ADD, Opcode.LD, Opcode.RAND, Opcode.JMP):
-            b = model.instruction_energy(spec_for(opcode))
+            b = model.compute_instruction_energy(spec_for(opcode))
             assert b.total == pytest.approx(b.memory + b.core)
             assert b.core == pytest.approx(
                 b.fetch + b.decode + b.datapath + b.mem_if + b.misc)
 
     def test_slow_bus_units_pay_bus_energy(self):
         model = EnergyModel(voltage=1.8)
-        ld = model.instruction_energy(spec_for(Opcode.LD))
-        ldi = model.instruction_energy(spec_for(Opcode.LDI))
+        ld = model.compute_instruction_energy(spec_for(Opcode.LD))
+        ldi = model.compute_instruction_energy(spec_for(Opcode.LDI))
         assert ldi.datapath > ld.datapath
 
 
@@ -90,8 +90,9 @@ class TestMeter:
         meter = EnergyMeter()
         for opcode in (Opcode.ADD, Opcode.ADD, Opcode.LD):
             spec = spec_for(opcode)
-            meter.record_instruction(spec, model.instruction_energy(spec),
-                                     1e-8, handler_tag="h")
+            meter.record_instruction(
+                spec, model.compute_instruction_energy(spec), 1e-8,
+                handler_tag="h")
         assert meter.instructions == 3
         assert meter.cycles == 4  # add, add, ld(2 words)
         assert meter.by_class[InstrClass.ARITH_REG].count == 2
@@ -102,7 +103,8 @@ class TestMeter:
         model = EnergyModel(voltage=1.8)
         meter = EnergyMeter()
         spec = spec_for(Opcode.ADD)
-        meter.record_instruction(spec, model.instruction_energy(spec), 1e-8)
+        meter.record_instruction(
+            spec, model.compute_instruction_energy(spec), 1e-8)
         assert sum(meter.core_fractions().values()) == pytest.approx(1.0)
 
     def test_idle_energy_zero_without_leakage(self):
@@ -125,5 +127,6 @@ class TestMeter:
         model = EnergyModel(voltage=1.8)
         meter = EnergyMeter()
         spec = spec_for(Opcode.ADD)
-        meter.record_instruction(spec, model.instruction_energy(spec), 1e-6)
+        meter.record_instruction(
+            spec, model.compute_instruction_energy(spec), 1e-6)
         assert meter.average_mips() == pytest.approx(1.0)

@@ -1,17 +1,14 @@
 """Tests for the fleet sweep engine: grid expansion, seed derivation,
-pooled-vs-serial bit-identity, failure isolation, and the shared
-predecode tables that make replicas cheap."""
+pooled-vs-serial bit-identity, failure isolation, and parameter
+checking.  The predecode slot memo that makes replicas cheap is tested
+in ``test_slot_memo.py``."""
 
-import itertools
 import json
 import os
 
 import pytest
 
-from repro.asm import build
-from repro.bench.reporting import _jsonable
 from repro.bench.sweep import (
-    SCENARIOS,
     Sweep,
     cell_label,
     diverging_cells,
@@ -19,42 +16,32 @@ from repro.bench.sweep import (
     strip_volatile,
     sweep_scenario,
 )
-from repro.core import (
-    CoreConfig,
-    PredecodeCache,
-    SnapProcessor,
-    shared_predecode,
-)
-from repro.isa.encoding import encode
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
-from repro.sim.checkpoint import meter_digest
 
 #: Cheap deterministic scenario: no simulation, just echoes its inputs.
-@sweep_scenario("_test_echo")
+@sweep_scenario("_test_echo", x=0, y=1)
 def _echo(params, seed):
-    return {"x": params["x"], "y": params.get("y", 0), "seed": seed,
-            "product": params["x"] * params.get("y", 1),
+    return {"x": params["x"], "y": params["y"], "seed": seed,
+            "product": params["x"] * params["y"],
             "digest": {"x": params["x"], "seed": seed}}
 
 
-@sweep_scenario("_test_fail_on")
+@sweep_scenario("_test_fail_on", x=0, poison=None)
 def _fail_on(params, seed):
-    if params["x"] == params.get("poison"):
+    if params["x"] == params["poison"]:
         raise RuntimeError("poisoned cell x=%r" % params["x"])
     return {"x": params["x"], "digest": {"x": params["x"]}}
 
 
-@sweep_scenario("_test_interrupt_on")
+@sweep_scenario("_test_interrupt_on", x=0, stop_at=None)
 def _interrupt_on(params, seed):
-    if params["x"] == params.get("stop_at"):
+    if params["x"] == params["stop_at"]:
         raise KeyboardInterrupt()
     return {"x": params["x"], "digest": {"x": params["x"]}}
 
 
-@sweep_scenario("_test_crash_on")
+@sweep_scenario("_test_crash_on", x=0, poison=None)
 def _crash_on(params, seed):
-    if params["x"] == params.get("poison"):
+    if params["x"] == params["poison"]:
         os._exit(13)  # kill the pool worker outright
     return {"x": params["x"], "digest": {"x": params["x"]}}
 
@@ -188,95 +175,6 @@ class TestPooledSweep:
                    for _, digest_a, digest_b in divergences)
 
 
-_SMC_SOURCE = """
-boot:
-    movi r5, patch
-    movi r7, %(word_add)d
-    movi r2, 5
-    movi r3, 7
-    sti r7, 0(r5)
-patch:
-    mov r1, r0
-    halt
-"""
-
-
-def _smc_program():
-    word_add = encode(Instruction(Opcode.ADD, rd=2, rs=3))[0]
-    return build(_SMC_SOURCE % {"word_add": word_add})
-
-
-class TestSharedPredecode:
-    def test_shared_tables_are_bit_transparent(self):
-        from repro.bench.ablations import SWEEP_LOOP
-        program = build(SWEEP_LOOP)
-
-        baseline = SnapProcessor(config=CoreConfig(voltage=0.6))
-        baseline.load(program)
-        baseline.run()
-
-        cache = PredecodeCache()
-        digests = []
-        with shared_predecode(cache):
-            for _ in range(2):
-                processor = SnapProcessor(config=CoreConfig(voltage=0.6))
-                processor.load(program)
-                processor.run()
-                digests.append(meter_digest(processor))
-        assert digests[0] == meter_digest(baseline)
-        assert digests[1] == meter_digest(baseline)
-        # One master table, leased twice.
-        assert len(cache) == 1
-        assert cache.misses == 1
-        assert cache.hits == 1
-
-    def test_different_voltages_get_different_tables(self):
-        from repro.bench.ablations import SWEEP_LOOP
-        program = build(SWEEP_LOOP)
-        cache = PredecodeCache()
-        with shared_predecode(cache):
-            for voltage in (0.6, 1.8):
-                processor = SnapProcessor(
-                    config=CoreConfig(voltage=voltage))
-                processor.load(program)
-                processor.run()
-        assert len(cache) == 2
-        assert cache.misses == 2
-
-    def test_self_modifying_code_never_pollutes_the_shared_table(self):
-        program = _smc_program()
-
-        baseline = SnapProcessor(config=CoreConfig(voltage=0.6))
-        baseline.load(program)
-        baseline.run()
-        assert baseline.regs.peek(2) == 12  # the patched add executed
-
-        cache = PredecodeCache()
-        with shared_predecode(cache):
-            first = SnapProcessor(config=CoreConfig(voltage=0.6))
-            first.load(program)
-            first.run()
-            # The sti detached this core from the master for good.
-            assert first._predec_master is None
-            second = SnapProcessor(config=CoreConfig(voltage=0.6))
-            second.load(program)
-            second.run()
-        assert meter_digest(first) == meter_digest(baseline)
-        assert meter_digest(second) == meter_digest(baseline)
-        assert second.regs.peek(2) == 12
-
-    def test_reference_engine_ignores_the_cache(self):
-        from repro.bench.ablations import SWEEP_LOOP
-        program = build(SWEEP_LOOP)
-        cache = PredecodeCache()
-        with shared_predecode(cache):
-            processor = SnapProcessor(
-                config=CoreConfig(voltage=0.6, fast_path=False))
-            processor.load(program)
-            processor.run()
-        assert len(cache) == 0
-
-
 class TestSweepCli:
     def test_grid_parsing(self):
         from repro.tools.snap_sweep import parse_grid
@@ -309,6 +207,38 @@ class TestSweepCli:
                      "--fixed", "poison=2"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["chain_ber", "--grid", "nosuch=1"], "no parameter 'nosuch'"),
+        (["chain_ber", "--fixed", "nosuch=1"], "no parameter 'nosuch'"),
+        (["chain_ber", "--grid", "voltage=abc"],
+         "'voltage' of scenario 'chain_ber' must be a number"),
+        (["chain_ber", "--grid", "voltage=0.6,abc"], "not 'abc'"),
+        (["chain_ber", "--fixed", "packets=many"], "'packets'"),
+    ])
+    def test_bad_parameter_is_a_usage_error_before_any_cell(
+            self, argv, message, capsys, monkeypatch):
+        from repro.bench import sweep
+        from repro.tools.snap_sweep import main
+        ran = []
+        monkeypatch.setattr(sweep, "run_cell", ran.append)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+
+    def test_run_sweep_checks_parameters_too(self):
+        with pytest.raises(ValueError, match="no parameter 'z'"):
+            run_sweep(Sweep(scenario="_test_echo", fixed={"z": 7}))
+        with pytest.raises(ValueError, match="must be a number"):
+            run_sweep(Sweep(scenario="_test_echo", grid={"x": ["1"]}))
+
+    def test_declared_defaults_reach_the_scenario(self):
+        result = run_sweep(Sweep(scenario="_test_echo", grid={"x": [3]}))
+        (replica,) = result.cells[0]["replicas"]
+        assert (replica["y"], replica["product"]) == (1, 3)
+        assert result.cells[0]["params"] == {"x": 3}
 
 
 COMMITTED_SWEEP = os.path.join(os.path.dirname(__file__), os.pardir,

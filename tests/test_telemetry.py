@@ -22,6 +22,9 @@ import io
 import json
 import os
 import socket
+import time
+
+import pytest
 
 from repro.asm import build
 from repro.core import CoreConfig
@@ -480,6 +483,17 @@ class TestSnapTop:
 
         thread = threading.Thread(target=attach)
         thread.start()
+        # Keep the exporter flushing (each flush accepts pending
+        # connections) until the dashboard has attached, however long the
+        # host takes to start the thread.
+        give_up = time.monotonic() + 30.0
+        while transport.clients == 0:
+            if time.monotonic() > give_up or not thread.is_alive():
+                exporter.close()
+                thread.join(timeout=5)
+                pytest.fail("snap-top never attached to the telemetry "
+                            "socket (result %r)" % (result,))
+            node.run(until=node.kernel.now + 0.01)
         deadline = node.kernel.now + 0.5
         while thread.is_alive() and node.kernel.now < deadline:
             node.run(until=node.kernel.now + 0.01)
