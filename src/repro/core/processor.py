@@ -13,8 +13,11 @@ Two execution engines produce bit-identical results:
 * the **fast path** (default) predecodes each IMEM word once into an
   executor-bound slot and executes straight-line instructions in a tight
   burst loop inside a single kernel callback, advancing the kernel clock
-  directly and re-entering the event heap only when the next pending
-  event (or the run horizon) would interleave;
+  directly and re-entering the event heap only when the next interaction
+  event (or the run horizon) would interleave.  Other cores' steps cut
+  a burst only within one radio word of them (lookahead: nothing a core
+  does reaches another core sooner), and only before an instruction
+  that is not meter-safe;
 * the **reference path** (``CoreConfig(fast_path=False)``) keeps the
   pre-burst cost profile -- one kernel callback per instruction, a
   fetch-time decode-cache probe, and a fresh delay/energy computation per
@@ -49,6 +52,7 @@ from repro.isa.opcodes import Opcode, spec_for
 from repro.isa.registers import REG_MSG
 
 _INFINITY = float("inf")
+_NEG_INFINITY = float("-inf")
 
 
 class Mode(enum.Enum):
@@ -291,7 +295,7 @@ class SnapProcessor:
         if self._step_pending:
             raise AssertionError("step already scheduled")
         self._step_pending = True
-        self.kernel.schedule(delay, self._step)
+        self.kernel.schedule_core(delay, self._step)
 
     def _step(self):
         self._step_pending = False
@@ -401,8 +405,19 @@ class SnapProcessor:
 
         The loop yields back to the kernel heap -- scheduling the next
         step callback after the current instruction's delay -- as soon as
-        the accumulated time would pass the next pending kernel event or
-        the run horizon.
+        the next instruction's fetch time ``finish`` reaches the next
+        interaction event or passes the run horizon.  Another core's
+        pending step cuts the burst too, unless ``finish`` stays below
+        that step plus ``kernel.lookahead`` (one radio word: nothing that
+        core does can reach this one sooner) and the next slot is
+        meter-safe (no r15 traffic or ``cancel``, so carrier sense,
+        transmit start and FIFO reads still run in global order).
+        Lookahead is off while a trace function or bus sink listens: it
+        would reorder this core's events against other cores'.  An
+        instruction run ahead registers its instant with the kernel, and
+        every instruction that lands on a registered instant takes the
+        label the kernel places it at, so what it schedules keeps the
+        reference engine's order (see :mod:`repro.core.kernel`).
         """
         kernel = self.kernel
         meter = self.meter
@@ -423,10 +438,23 @@ class SnapProcessor:
         horizon = kernel._horizon
         if horizon is None:
             horizon = _INFINITY
+        # Lookahead reorders this core's trace and bus events against
+        # other cores', so it is off while anything listens to them.
+        if trace_fn is None and (obs is None or not obs.bus.sinks):
+            lookahead = kernel.lookahead
+        else:
+            lookahead = 0.0
         version = kernel._version
-        next_event = kernel.next_time()
-        if next_event is None:
-            next_event = _INFINITY
+        strict, relaxed = kernel.burst_bounds(lookahead)
+        # The running instruction's label in the kernel's order (see
+        # Kernel._place), and whether the next one needs a fresh label.
+        # While that or a registered instant may apply, *gate* sends
+        # every instruction down the slow path below; otherwise it is
+        # the strict bound, which costs the hot path nothing.
+        instants = kernel._instants
+        label = kernel._label
+        relabel = False
+        gate = _NEG_INFINITY if instants else strict
 
         pc = self.pc
         tag = self.current_tag
@@ -536,13 +564,47 @@ class SnapProcessor:
                 finish = now + delay
                 if kernel._version != version:
                     version = kernel._version
-                    next_event = kernel.next_time()
-                    if next_event is None:
-                        next_event = _INFINITY
-                if next_event <= finish or finish > horizon:
-                    self.pc = next_pc
-                    self._schedule_step(delay)
-                    return
+                    strict, relaxed = kernel.burst_bounds(lookahead)
+                    relabel = True
+                    gate = _NEG_INFINITY
+                if gate <= finish or finish > horizon:
+                    if strict <= finish or finish > horizon:
+                        # Past another core's step: run ahead only to a
+                        # meter-safe slot and only while no radio word
+                        # from that core could have reached this one.
+                        if relaxed <= finish or finish > horizon:
+                            self.pc = next_pc
+                            self._schedule_step(delay)
+                            return
+                        try:
+                            following = predec[next_pc]
+                            if following is None:
+                                following = self._predecode(next_pc)
+                        except (IndexError, SimulationError):
+                            # Fetching it faults: leave that to the step
+                            # at its own time.
+                            following = None
+                        if following is None or not following[16]:
+                            self.pc = next_pc
+                            self._schedule_step(delay)
+                            return
+                        # Register the instant, so whatever runs here
+                        # later is placed against this instruction.
+                        label = kernel._label = kernel._place(
+                            finish, (now, label, kernel._next_handle),
+                            True)
+                        relabel = True
+                        if finish > kernel._frontier:
+                            kernel._frontier = finish
+                    elif finish in instants:
+                        label = kernel._label = kernel._place(
+                            finish, (now, label, kernel._next_handle),
+                            False)
+                        relabel = True
+                    elif relabel:
+                        label = kernel._label = kernel._next_handle
+                        relabel = False
+                    gate = _NEG_INFINITY if relabel or instants else strict
                 now = finish
                 kernel._now = finish
                 pc = next_pc

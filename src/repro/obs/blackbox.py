@@ -36,6 +36,10 @@ DEFAULT_INSTRUCTION_LIMIT = 64
 DEFAULT_EVENT_LIMIT = 64
 
 
+def _event_time(event):
+    return event[0]
+
+
 class FlightRecorder:
     """Bounded rings of recent instructions and system events."""
 
@@ -82,7 +86,11 @@ class FlightRecorder:
         ring.append((time, pc, instruction, handler, energy, rd, rd_value))
 
     def record_event(self, kind, node, time, detail=None):
-        """Append one system event to the shared event ring."""
+        """Append one system event to the shared event ring.
+
+        Nodes append in the order the simulator runs them, which a
+        fast-engine core running ahead of the network makes differ
+        from time order; :meth:`event_tail` sorts."""
         self._events.append((time, node, kind, detail))
 
     # -- inspection ------------------------------------------------------------
@@ -97,8 +105,9 @@ class FlightRecorder:
         return list(self._instructions.get(node, ()))
 
     def event_tail(self):
-        """The recorded event tuples, oldest first."""
-        return list(self._events)
+        """The recorded event tuples, oldest first (by simulated time;
+        events at one time keep the order they were recorded in)."""
+        return sorted(self._events, key=_event_time)
 
     def entry_count(self):
         """Total entries currently held across every ring."""
@@ -141,7 +150,7 @@ class FlightRecorder:
                 for entry in self._instructions.get(name, ())]
         events = [{"time": time, "node": name, "kind": kind,
                    "detail": detail}
-                  for time, name, kind, detail in self._events]
+                  for time, name, kind, detail in self.event_tail()]
         return {
             "instruction_limit": self.instruction_limit,
             "event_limit": self.event_limit,

@@ -32,6 +32,13 @@ Bundle schema (``repro.obs.crash-bundle/1``):
   :mod:`repro.sim.checkpoint` snapshot, so ``snap-flight replay-tail
   --replay`` can restore and re-run only the tail up to the crash.
 
+A fast-engine core may run ahead of the rest of a network (lookahead
+bursts, DESIGN.md).  When a guest fault stops such a burst, ``time_s``
+is the faulting core's own clock and every other node appears as of
+its own frontier -- the state each had reached, not a snapshot at one
+instant.  Replay is unaffected: the embedded checkpoint was captured
+on the interaction lane, where all nodes agree on the time.
+
 The ``snap-flight`` CLI (:mod:`repro.tools.snap_flight`) renders and
 replays these bundles; ``tests/goldens/crash_bundle.json`` pins the
 schema (normalized by :func:`normalize_bundle`).
@@ -152,7 +159,7 @@ def _processor_state(processor, program):
 
 def _pending_events(kernel):
     events = []
-    for entry in sorted(kernel._queue):
+    for entry in kernel.heap_entries():
         if entry[2] is None:
             continue
         callback = entry[2]

@@ -19,12 +19,14 @@ Invariant catalogue (see ``docs/OBSERVABILITY.md`` for per-check cost):
     tables, and cycles never undercount instructions.
 ``clock_monotonic``
     Kernel time is finite, non-negative, and never moves backwards
-    between checks.
+    between checks.  The periodic check runs on the kernel's
+    interaction lane, whose clock is monotone even when fast-engine
+    cores run ahead of one another (see :mod:`repro.core.kernel`).
 ``heap_liveness``
-    The kernel's ``_live`` index and its heap agree: every indexed
-    handle points at a live entry, and every live heap callback is
-    indexed (a "leaked cancel" -- an entry nulled without dropping its
-    index, or vice versa -- is exactly what this catches).
+    The kernel's live index and its two lanes agree: as many live
+    callbacks sit on the lanes as the index holds (a "leaked cancel"
+    -- an entry nulled without dropping its index, or vice versa -- is
+    exactly what this catches).
 ``queue_bounds``
     The hardware event queue and both r15 FIFOs respect their
     configured capacities.
@@ -233,22 +235,13 @@ class Watchdog:
         self._last_now = now
 
     def _check_heap(self, kernel):
-        live = kernel._live
-        for handle, entry in live.items():
-            if entry[1] != handle:
-                self._fail("heap_liveness",
-                           "live index handle %r points at heap entry %r"
-                           % (handle, entry[1]))
-            if entry[2] is None:
-                self._fail("heap_liveness",
-                           "handle %r was cancelled on the heap but leaked "
-                           "in the live index" % (handle,))
-        live_on_heap = sum(1 for entry in kernel._queue
+        live_on_heap = sum(1 for entry in kernel.heap_entries()
                            if entry[2] is not None)
-        if live_on_heap != len(live):
+        if live_on_heap != kernel.pending:
             self._fail("heap_liveness",
-                       "%d live callbacks on the heap but %d indexed"
-                       % (live_on_heap, len(live)))
+                       "%d live callbacks on the heap but %d indexed (a "
+                       "cancelled entry leaked in the live index?)"
+                       % (live_on_heap, kernel.pending))
 
     def _energy_close(self, total, components):
         tolerance = self.rel_tolerance * max(abs(total), abs(components),

@@ -85,7 +85,13 @@ class Channel:
             radio.position = position
         radio.channel = self
         self._radios.append(radio)
-        self._horizon = max(self._horizon, 2 * radio.config.word_duration)
+        duration = radio.config.word_duration
+        self._horizon = max(self._horizon, 2 * duration)
+        # Nothing a core does reaches another core sooner than one word
+        # after it: the fast engine's lookahead.
+        kernel = radio.kernel
+        if kernel.lookahead == 0.0 or duration < kernel.lookahead:
+            kernel.lookahead = duration
         self.topology_changed()
 
     def topology_changed(self):

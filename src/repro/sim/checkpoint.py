@@ -12,11 +12,13 @@ every trace timestamp, every radio word (proven by
 What is captured
 ================
 
-* **Kernel** -- clock, the handle counter (events at equal times run in
-  handle order, so the tie-break sequence must survive), and every live
-  heap entry.  Callbacks are serialized as typed descriptors
-  (``cpu_step``, ``timer_expire``, ``radio_tx_done``, ``sensor_fire``)
-  and re-bound to the restored components.  Host-side observability
+* **Kernel** -- clock, the handle counter, and every live heap entry
+  with its ``scheduled_at`` time and ``label`` (events at equal times
+  run in ``(scheduled_at, label, handle)`` order, so the tie-break
+  sequence must survive).  ``cpu_step`` entries go back to the core
+  lane, the rest to the interaction lane.  Callbacks are serialized as
+  typed descriptors (``cpu_step``, ``timer_expire``, ``radio_tx_done``,
+  ``sensor_fire``) and re-bound to the restored components.  Host-side observability
   callbacks (watchdog ticks, timeline samplers, telemetry flushes, the
   blackbox's own checkpoint tick) are *skipped* and listed under
   ``skipped_callbacks`` -- they never affect simulation state, and the
@@ -46,9 +48,13 @@ Schema
 ======
 
 ``Checkpoint.data`` is a plain dict with ``schema ==
-"repro.sim.checkpoint/1"``; loading any other version raises
-:class:`CheckpointVersionError`.  ``tests/goldens/checkpoint_v1.json``
-pins the layout against accidental drift.
+"repro.sim.checkpoint/2"``; loading any other version raises
+:class:`CheckpointVersionError`.  ``tests/goldens/checkpoint_v2.json``
+pins the layout against accidental drift.  Version 1 files (no
+``scheduled_at`` or ``label`` per heap entry) still load: their entries
+take the capture time as ``scheduled_at`` and their handle as
+``label``, which orders them by ``(time, handle)`` exactly as the
+version 1 kernel did.
 """
 
 import json
@@ -73,7 +79,9 @@ from repro.sensors.sensor import (
 from repro.sensors.adc import Adc
 from repro.sensors.temperature import TemperatureSensor
 
-SCHEMA = "repro.sim.checkpoint/1"
+SCHEMA = "repro.sim.checkpoint/2"
+#: Older versions :func:`restore` still reads.
+_READABLE = (SCHEMA, "repro.sim.checkpoint/1")
 
 #: Host-side (observability) callbacks that may sit on the kernel heap
 #: but carry no simulation state: capture skips them and records the
@@ -177,7 +185,7 @@ class Checkpoint:
 
 
 def _require_schema(data):
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") not in _READABLE:
         found = data.get("schema") if isinstance(data, dict) else None
         raise CheckpointVersionError(found)
 
@@ -630,7 +638,8 @@ def _describe_callbacks(kernel, owners, unknown):
     Returns ``(events, skipped)``.
     """
     events, skipped = [], []
-    for time, handle, callback, args in kernel.live_entries():
+    for time, handle, callback, args, scheduled_at, label, _ in \
+            kernel.live_entries():
         target = getattr(callback, "__self__", None)
         name = getattr(callback, "__name__", None)
         qualname = getattr(callback, "__qualname__", repr(callback))
@@ -651,7 +660,8 @@ def _describe_callbacks(kernel, owners, unknown):
                               "sensor": extra}
             if descriptor is not None:
                 events.append({"time": time, "handle": handle,
-                               "callback": descriptor})
+                               "scheduled_at": scheduled_at,
+                               "label": label, "callback": descriptor})
                 continue
         if any(qualname.endswith(host)
                for host in _HOST_CALLBACK_QUALNAMES):
@@ -691,9 +701,9 @@ def _kernel_state(kernel, nodes, unknown):
 
 
 def _restore_kernel(kernel, state, nodes_by_key):
-    """Rebuild the heap; returns nothing but re-links timer handles and
+    """Rebuild both lanes; returns nothing but re-links timer handles and
     processor ``_step_pending`` flags as a side effect."""
-    entries = []
+    entries, core_entries = [], []
     for record in state["events"]:
         descriptor = record["callback"]
         kind = descriptor["kind"]
@@ -703,9 +713,11 @@ def _restore_kernel(kernel, state, nodes_by_key):
             raise CheckpointError(
                 "heap entry references unknown node %r"
                 % (descriptor["node"],)) from None
+        lane = entries
         if kind == "cpu_step":
             callback, args = node.processor._step, ()
             node.processor._step_pending = True
+            lane = core_entries
         elif kind == "timer_expire":
             index = descriptor["index"]
             if not 0 <= index < NUM_TIMERS:
@@ -727,8 +739,19 @@ def _restore_kernel(kernel, state, nodes_by_key):
         else:
             raise CheckpointError(
                 "unknown heap callback kind %r" % (kind,))
-        entries.append((record["time"], record["handle"], callback, args))
-    kernel.restore_state(state["now"], state["next_handle"], entries)
+        scheduled_at = record.get("scheduled_at", state["now"])
+        label = record.get("label", record["handle"])
+        for field, value in (("scheduled_at", scheduled_at),
+                             ("label", label)):
+            if not isinstance(value, (int, float)) \
+                    or isinstance(value, bool):
+                raise CheckpointError(
+                    "heap entry %s must be a number, not %r"
+                    % (field, value))
+        lane.append((record["time"], record["handle"], callback, args,
+                     scheduled_at, label))
+    kernel.restore_state(state["now"], state["next_handle"], entries,
+                         core_entries)
 
 
 # -- channel ------------------------------------------------------------------

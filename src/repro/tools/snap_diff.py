@@ -1,7 +1,7 @@
 """``snap-diff``: localize and explain the difference between two runs.
 
 Point it at any two of: a recorded JSONL trace stream, a saved
-checkpoint file (``repro.sim.checkpoint/1``, replayed to ``--until``),
+checkpoint file (``repro.sim.checkpoint/2``, replayed to ``--until``),
 or a :data:`repro.scenarios.CATALOGUE` scenario
 (``scenario:NAME[:fast|ref]``).
 The tool aligns the two typed trace streams, localizes the first

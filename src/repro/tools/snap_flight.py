@@ -197,8 +197,9 @@ def cmd_demo_crash(args):
         # for.  (Skip the watchdog's own pending check, which would
         # disarm the very detector this mode demonstrates.)
         def leak():
-            for handle, entry in node.kernel._live.items():
-                if handle != box.watchdog._handle:
+            for entry in node.kernel.heap_entries():
+                if entry[2] is not None \
+                        and entry[1][1] != box.watchdog._handle:
                     entry[2] = None
                     return
         node.kernel.schedule(3e-4, leak)

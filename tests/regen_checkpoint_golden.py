@@ -1,4 +1,4 @@
-"""Regenerate ``tests/goldens/checkpoint_v1.json``.
+"""Regenerate ``tests/goldens/checkpoint_v2.json``.
 
 Run deliberately, only alongside a checkpoint schema version bump::
 
@@ -7,7 +7,7 @@ Run deliberately, only alongside a checkpoint schema version bump::
 The golden is the checkpoint of the ``sti`` catalogue scenario
 (timer-driven self-modifying code -- it exercises predecode validity,
 armed timers, and handler state) captured at t=0.02 s, exactly as
-``tests/test_checkpoint.py::TestSchemaVersioning::test_golden_schema_v1``
+``tests/test_checkpoint.py::TestSchemaVersioning::test_golden_schema_v2``
 rebuilds it.
 """
 
@@ -17,7 +17,7 @@ from repro.scenarios import CATALOGUE, run_to
 from repro.sim.checkpoint import capture
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
-                      "checkpoint_v1.json")
+                      "checkpoint_v2.json")
 
 
 def main():

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CoreConfig
 from repro.core.kernel import Kernel
 from repro.netstack import build_blink_app
+from repro.network.experiments import build_convergecast
 from repro.network.simulator import NetworkSimulator
 from repro.node import SensorNode
 from repro.obs import MemorySink, Observability
@@ -48,7 +49,9 @@ TIER1_SCENARIOS = ["straightline", "blink", "c_blink", "sti",
                    "chain_biterr", "aodv_noroute"]
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
-                      "checkpoint_v1.json")
+                      "checkpoint_v2.json")
+GOLDEN_V1 = os.path.join(os.path.dirname(__file__), "goldens",
+                         "checkpoint_v1.json")
 
 
 def _fraction(scenario, fast_path):
@@ -79,6 +82,32 @@ class TestDifferentialMatrix:
                               fraction=_fraction("convergecast", fast_path))
         assert report["identical"], "\n".join(
             deep_diff_paths(report["baseline"], report["resumed"]))
+
+    def test_restored_steps_keep_their_lane(self):
+        """Every restored ``cpu_step`` lands on the kernel's core lane
+        (on the interaction lane a resumed run would still be right but
+        would lose lookahead), and the resumed run matches its
+        uninterrupted twin at a random cut."""
+        twin = build_convergecast(chain_length=4, period_s=0.05)
+        net = build_convergecast(chain_length=4, period_s=0.05)
+        start = net.kernel.now
+        horizon = start + 0.3
+        cut = start + (horizon - start) * random.Random(
+            "restored-lanes").uniform(0.15, 0.85)
+        run_to(net, cut)
+        # Step on to the next moment some core has a step scheduled.
+        while not any(node.processor._step_pending
+                      for node in net.nodes.values()):
+            net.run(max_events=1)
+        resumed = restore(Checkpoint.from_json(capture(net).to_json()))
+        steps = [getattr(callback, "__name__", None) == "_step"
+                 for _, _, callback, *_ in resumed.kernel.live_entries()]
+        lanes = [core for *_, core in resumed.kernel.live_entries()]
+        assert any(steps) and lanes == steps
+        assert resumed.kernel.lookahead == net.kernel.lookahead > 0.0
+        run_to(twin, horizon)
+        run_to(resumed, horizon)
+        assert network_digest(resumed) == network_digest(twin)
 
     def test_differential_round_trips_via_json(self):
         """The persisted JSON text, not just the in-memory dict, is what
@@ -292,7 +321,7 @@ class TestSchemaVersioning:
     def test_version_error_is_a_checkpoint_error(self):
         assert issubclass(CheckpointVersionError, CheckpointError)
 
-    def test_golden_schema_v1(self):
+    def test_golden_schema_v2(self):
         """The committed golden detects accidental schema drift.
 
         Regenerate deliberately (after a schema *version bump*) with::
@@ -306,6 +335,29 @@ class TestSchemaVersioning:
         with open(GOLDEN) as handle:
             golden = json.load(handle)
         assert data == golden
+
+    @pytest.mark.parametrize("field", ["scheduled_at", "label"])
+    def test_heap_entry_order_fields_must_be_numbers(self, field):
+        with open(GOLDEN) as handle:
+            data = json.load(handle)
+        data["kernel"]["events"][0][field] = "soon"
+        with pytest.raises(CheckpointError, match=field):
+            restore(data)
+
+    def test_golden_schema_v1(self):
+        """A version 1 file still loads: its heap entries take the
+        capture time as ``scheduled_at``, and the restored node resumes
+        exactly like the uninterrupted run the file was cut from."""
+        with open(GOLDEN_V1) as handle:
+            golden = json.load(handle)
+        assert golden["schema"] == "repro.sim.checkpoint/1"
+        resumed = restore(Checkpoint.load(GOLDEN_V1))
+        live, _ = CATALOGUE["sti"](True)
+        run_to(live, 0.02)
+        assert network_digest(resumed) == network_digest(live)
+        for sim in (resumed, live):
+            run_to(sim, 0.05)
+        assert network_digest(resumed) == network_digest(live)
 
 
 def _shape(kind="node"):
